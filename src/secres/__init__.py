@@ -7,14 +7,7 @@ effective Hamiltonian -> discriminant in the coupling -> exceptional points
 radius of convergence.
 """
 
-from .charpoly import (
-    CharPoly,
-    LambdaPolynomial,
-    characteristic_polynomial,
-    charpoly_cofactor,
-    charpoly_faddeev_leverrier,
-    exact_eigenvalues_at,
-)
+from .charpoly import characteristic_polynomial, exact_eigenvalues_at
 from .discriminant import (
     EXACT_SOURCE,
     ExceptionalPointEstimate,
@@ -47,13 +40,12 @@ from .model import (
 )
 from .roots import RootSet, all_roots, sort_roots
 from .rspt import StateSeries, p_space_series, perturbation_series
-from .secular import SeriesPolynomial, eigenvalues_at, reconstruct
-from .series import TruncatedSeries, format_coefficients
+from .secular import eigenvalues_at, reconstruct
+from .series import MonicPolynomial, Polynomial, format_coefficients
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharPoly",
     "DegenerateUnperturbed",
     "DegreeTooSmall",
     "DiagonalInteraction",
@@ -63,22 +55,19 @@ __all__ = [
     "EXACT_SOURCE",
     "ExceptionalPointEstimate",
     "IndexOutOfRange",
-    "LambdaPolynomial",
     "MatrixModel",
     "ModelFormatError",
+    "MonicPolynomial",
     "OrderMismatch",
+    "Polynomial",
     "RootFindingFailure",
     "RootSet",
     "SecresError",
-    "SeriesPolynomial",
     "StateSeries",
-    "TruncatedSeries",
     "ValidationError",
     "ZeroPolynomial",
     "all_roots",
     "characteristic_polynomial",
-    "charpoly_cofactor",
-    "charpoly_faddeev_leverrier",
     "discriminant",
     "eigenvalues_at",
     "exact_eigenvalues_at",

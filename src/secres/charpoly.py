@@ -2,162 +2,64 @@
 
 Coefficients are exact polynomials in lambda (not truncated series), so the
 discriminant of this polynomial locates the true eigenvalue-coalescence
-points independent of any expansion order.  Two independent determinant
-routes are provided: Faddeev-LeVerrier (the production path, any dimension)
-and direct cofactor expansion (small dimensions, used as a cross-check).
+points independent of any expansion order.  The determinant is expanded by
+the Faddeev-LeVerrier recursion, which works at any dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import RootFindingFailure
 from .model import MatrixModel
 from .roots import all_roots, sort_roots
-
-# absolute tolerance for trailing-zero stripping; degree decisions feed the
-# discriminant, so the cutoff lives here and nowhere else
-TRAILING_ZERO_TOL = 1e-12
+from .series import MonicPolynomial, Polynomial
 
 
-@dataclass(frozen=True)
-class LambdaPolynomial:
-    """Real polynomial in the coupling, ascending coefficients c_0..c_D.
-
-    Trailing coefficients at or below the stripping tolerance are removed on
-    construction; the zero polynomial is represented as (0.0,).
-    """
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        coeffs = [float(c) for c in self.coefficients]
-        while len(coeffs) > 1 and abs(coeffs[-1]) <= TRAILING_ZERO_TOL:
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [0.0]
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    @classmethod
-    def zero(cls) -> "LambdaPolynomial":
-        return cls((0.0,))
-
-    @classmethod
-    def constant(cls, value: float) -> "LambdaPolynomial":
-        return cls((float(value),))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return self.coefficients == (0.0,)
-
-    def __add__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return LambdaPolynomial(tuple(out))
-
-    def __sub__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "LambdaPolynomial":
-        return LambdaPolynomial(tuple(-c for c in self.coefficients))
-
-    def __mul__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        if self.is_zero() or other.is_zero():
-            return LambdaPolynomial.zero()
-        out = [0.0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0.0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return LambdaPolynomial(tuple(out))
-
-    def scale(self, factor: float) -> "LambdaPolynomial":
-        return LambdaPolynomial(tuple(factor * c for c in self.coefficients))
-
-    def evaluate(self, lam: complex) -> complex:
-        acc = 0.0 + 0.0j if isinstance(lam, complex) else 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * lam + c
-        return acc
-
-    def derivative(self) -> "LambdaPolynomial":
-        if self.degree == 0:
-            return LambdaPolynomial.zero()
-        return LambdaPolynomial(
-            tuple(k * c for k, c in enumerate(self.coefficients) if k > 0)
-        )
-
-
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic characteristic polynomial in E with lambda-polynomial coefficients.
-
-    coefficients holds p_1..p_D where p_j multiplies E^(D-j); the lambda
-    degree of p_j never exceeds j because each off-diagonal coupling entry
-    contributes at most one factor of lambda per determinant term.
-    """
-
-    degree: int
-    coefficients: tuple[LambdaPolynomial, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.degree:
-            raise ValueError(
-                f"expected {self.degree} coefficients, got {len(self.coefficients)}"
-            )
-
-
-def _symbolic_hamiltonian(model: MatrixModel) -> list[list[LambdaPolynomial]]:
+def _symbolic_hamiltonian(model: MatrixModel) -> list[list[Polynomial]]:
     """H(lambda) with entries in the lambda-polynomial ring."""
     dim = model.dimension
-    zero = LambdaPolynomial.zero()
+    zero = Polynomial((0.0,))
     matrix = [[zero for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
-        matrix[i][i] = LambdaPolynomial.constant(model.h0_diagonal[i])
+        matrix[i][i] = Polynomial((model.h0_diagonal[i],))
     for i, j, value in model.interaction:
-        entry = LambdaPolynomial((0.0, value))
+        entry = Polynomial((0.0, value))
         matrix[i - 1][j - 1] = entry
         matrix[j - 1][i - 1] = entry
     return matrix
 
 
 def _poly_matmul(
-    a: list[list[LambdaPolynomial]], b: list[list[LambdaPolynomial]]
-) -> list[list[LambdaPolynomial]]:
+    a: list[list[Polynomial]], b: list[list[Polynomial]]
+) -> list[list[Polynomial]]:
     dim = len(a)
     out = []
     for i in range(dim):
         row = []
         for j in range(dim):
-            acc = LambdaPolynomial.zero()
+            acc = Polynomial((0.0,))
             for k in range(dim):
                 if a[i][k].is_zero() or b[k][j].is_zero():
                     continue
-                acc = acc + a[i][k] * b[k][j]
+                acc = acc + a[i][k].mul(b[k][j])
             row.append(acc)
         out.append(row)
     return out
 
 
-def charpoly_faddeev_leverrier(model: MatrixModel) -> CharPoly:
-    """det(E*I - H) by the Faddeev-LeVerrier recursion.
+def characteristic_polynomial(model: MatrixModel) -> MonicPolynomial:
+    """Exact characteristic polynomial of a validated model.
 
-    All ring operations are additions and multiplications of lambda
-    polynomials; the only divisions are by the integer step counter.
+    det(E*I - H) by the Faddeev-LeVerrier recursion: all ring operations
+    are additions and multiplications of lambda polynomials, and the only
+    divisions are by the integer step counter.  The lambda degree of p_j
+    never exceeds j because each off-diagonal coupling entry contributes at
+    most one factor of lambda per determinant term.
     """
     dim = model.dimension
     h = _symbolic_hamiltonian(model)
-    zero = LambdaPolynomial.zero()
+    zero = Polynomial((0.0,))
 
-    aux = [[LambdaPolynomial.constant(1.0) if i == j else zero for j in range(dim)]
+    aux = [[Polynomial((1.0,)) if i == j else zero for j in range(dim)]
            for i in range(dim)]
     coefficients = []
     product = _poly_matmul(h, aux)
@@ -176,77 +78,10 @@ def charpoly_faddeev_leverrier(model: MatrixModel) -> CharPoly:
             trace = trace + product[d][d]
         c = trace.scale(-1.0 / k)
         coefficients.append(c)
-    return CharPoly(degree=dim, coefficients=tuple(coefficients))
+    return MonicPolynomial(tuple(c.trimmed() for c in coefficients))
 
 
-def _bivariate_det(matrix: list[list[list[LambdaPolynomial]]]) -> list[LambdaPolynomial]:
-    """Laplace expansion along the first row; entries are lists of
-    lambda polynomials indexed by the power of E."""
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    total: list[LambdaPolynomial] = [LambdaPolynomial.zero()]
-
-    def biv_add(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, p in enumerate(b):
-            out[i] = out[i] + p
-        return out
-
-    def biv_mul(a, b):
-        out = [LambdaPolynomial.zero()] * (len(a) + len(b) - 1)
-        for i, p in enumerate(a):
-            if p.is_zero():
-                continue
-            for j, q in enumerate(b):
-                if q.is_zero():
-                    continue
-                out[i + j] = out[i + j] + p * q
-        return out
-
-    for col in range(size):
-        entry = matrix[0][col]
-        if all(p.is_zero() for p in entry):
-            continue
-        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
-        term = biv_mul(entry, _bivariate_det(minor))
-        if col % 2 == 1:
-            term = [p.scale(-1.0) for p in term]
-        total = biv_add(total, term)
-    return total
-
-
-def charpoly_cofactor(model: MatrixModel) -> CharPoly:
-    """det(E*I - H) by direct cofactor expansion; small dimensions only."""
-    dim = model.dimension
-    if dim > 6:
-        raise ValueError("cofactor expansion is limited to dimension <= 6")
-    h = _symbolic_hamiltonian(model)
-    # entry (i, j) of E*I - H as ascending powers of E
-    matrix = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if i == j:
-                row.append([h[i][j].scale(-1.0), LambdaPolynomial.constant(1.0)])
-            else:
-                row.append([h[i][j].scale(-1.0)])
-        matrix.append(row)
-    det = _bivariate_det(matrix)
-    det = det + [LambdaPolynomial.zero()] * (dim + 1 - len(det))
-    # det[k] multiplies E^k; repack as p_1..p_D with p_j on E^(D-j)
-    coefficients = tuple(det[dim - j] for j in range(1, dim + 1))
-    return CharPoly(degree=dim, coefficients=coefficients)
-
-
-def characteristic_polynomial(model: MatrixModel) -> CharPoly:
-    """Exact characteristic polynomial of a validated model."""
-    return charpoly_faddeev_leverrier(model)
-
-
-def exact_eigenvalues_at(cp: CharPoly, lam: complex) -> list[complex]:
+def exact_eigenvalues_at(cp: MonicPolynomial, lam: complex) -> list[complex]:
     """All eigenvalues at one coupling value, in canonical order."""
     ascending: list[complex] = [
         cp.coefficients[cp.degree - 1 - i].evaluate(complex(lam))

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
-from .charpoly import CharPoly, LambdaPolynomial
 from .errors import DegreeTooSmall, EmptyList, RootFindingFailure
 from .roots import all_roots
-from .secular import SeriesPolynomial
+from .series import MonicPolynomial, Polynomial
 
 EXACT_SOURCE = "exact"
 # relative tolerance for grouping symmetry partners (+-lambda, conjugates)
@@ -51,48 +50,42 @@ class ExceptionalPointEstimate:
     multiplicity: int = 1
 
 
-def _promote(series) -> LambdaPolynomial:
-    return LambdaPolynomial(tuple(series.coefficients))
-
-
-def _det(matrix: list[list[LambdaPolynomial]]) -> LambdaPolynomial:
+def _det(matrix: list[list[Polynomial]]) -> Polynomial:
     """Cofactor determinant over the lambda-polynomial ring."""
     size = len(matrix)
     if size == 1:
         return matrix[0][0]
-    total = LambdaPolynomial.zero()
+    total = Polynomial((0.0,))
     for col in range(size):
         entry = matrix[0][col]
         if entry.is_zero():
             continue
         minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
-        term = entry * _det(minor)
+        term = entry.mul(_det(minor))
         total = total + (term.scale(-1.0) if col % 2 else term)
     return total
 
 
-def discriminant(poly: Union[CharPoly, SeriesPolynomial]) -> LambdaPolynomial:
-    """Discriminant with respect to the energy variable, as a lambda polynomial."""
+def discriminant(poly: MonicPolynomial) -> Polynomial:
+    """Discriminant with respect to the energy variable, as a lambda polynomial.
+
+    The coefficients p_j and the result are trimmed, since their degrees
+    decide the Sylvester entries and the number of exceptional points.
+    """
     degree = poly.degree
     if degree < 2:
         raise DegreeTooSmall(
             f"discriminant needs energy degree >= 2, got {degree}"
         )
-    if isinstance(poly, SeriesPolynomial):
-        p = [_promote(s) for s in poly.coefficients]
-        degree_cap = degree * (degree - 1) * max(poly.order, 1)
-    else:
-        p = list(poly.coefficients)
-        degree_cap = degree * (degree - 1) * max(
-            max(q.degree for q in p), 1
-        )
+    p = [q.trimmed() for q in poly.coefficients]
+    degree_cap = degree * (degree - 1) * max(q.degree for q in p)
 
     # descending coefficient rows of p (monic) and dp/dE
-    a = [LambdaPolynomial.constant(1.0)] + p
+    a = [Polynomial((1.0,))] + p
     b = [a[i].scale(float(degree - i)) for i in range(degree)]
 
     size = 2 * degree - 1
-    zero = LambdaPolynomial.zero()
+    zero = Polynomial((0.0,))
     sylvester = []
     for shift in range(degree - 1):
         sylvester.append([zero] * shift + a + [zero] * (degree - 2 - shift))
@@ -102,7 +95,7 @@ def discriminant(poly: Union[CharPoly, SeriesPolynomial]) -> LambdaPolynomial:
 
     resultant = _det(sylvester)
     sign = -1.0 if (degree * (degree - 1) // 2) % 2 else 1.0
-    disc = resultant.scale(sign)
+    disc = resultant.scale(sign).trimmed()
     if disc.degree > degree_cap:
         raise ValueError(
             f"discriminant degree {disc.degree} exceeds cap {degree_cap}"
@@ -110,7 +103,7 @@ def discriminant(poly: Union[CharPoly, SeriesPolynomial]) -> LambdaPolynomial:
     return disc
 
 
-def _polish_root(disc: LambdaPolynomial, root: complex) -> complex:
+def _polish_root(disc: Polynomial, root: complex) -> complex:
     """Newton refinement on the discriminant; keeps the start on failure."""
     derivative = disc.derivative()
     best = root
@@ -131,7 +124,7 @@ def _polish_root(disc: LambdaPolynomial, root: complex) -> complex:
 
 
 def exceptional_points(
-    disc: LambdaPolynomial, source: str
+    disc: Polynomial, source: str
 ) -> list[ExceptionalPointEstimate]:
     """All coalescence couplings from a discriminant polynomial.
 

@@ -10,6 +10,7 @@ near-coincident simple roots; clustering them is the caller's job.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,7 +58,8 @@ def all_roots(coefficients: Sequence[complex], tol: float = DEFAULT_TOL) -> Root
     Iterates until the largest step is below tol*(1+|root|) or the iteration
     budget runs out; each root then gets three Newton polishing steps.  A
     non-converged iteration returns its best iterates with converged=False
-    rather than raising.
+    rather than raising; one that reaches a non-finite iterate stops there,
+    with max_residual NaN.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -95,7 +97,12 @@ def all_roots(coefficients: Sequence[complex], tol: float = DEFAULT_TOL) -> Root
             denominator = 1.0 - newton * repulsion
             step = newton if denominator == 0 else newton / denominator
             roots[k] = z - step
-            max_step = max(max_step, abs(step) / (1.0 + abs(roots[k])))
+            relative = abs(step) / (1.0 + abs(roots[k]))
+            if relative > max_step:
+                max_step = relative
+            elif relative != relative:
+                # NaN from a non-finite iterate, which max() would skip
+                return RootSet(tuple(roots), math.nan, converged=False)
         if max_step < tol:
             converged = True
             break

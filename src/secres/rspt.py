@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 from .model import MatrixModel, interaction_matrix
-from .series import TruncatedSeries
+from .series import Polynomial
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class StateSeries:
     """Energy expansion anchored at one basis state (1-based index)."""
 
     state_index: int
-    energy_series: TruncatedSeries
+    energy_series: Polynomial
 
 
 def perturbation_series(
@@ -42,6 +42,7 @@ def perturbation_series(
     """Order-K eigenvalue expansion for one unperturbed state.
 
     The model must already be validated (distinct diagonal energies).
+    A coefficient that overflows to a non-finite value raises ValueError.
     """
     if not (1 <= state_index <= model.dimension):
         raise IndexOutOfRange(
@@ -72,7 +73,8 @@ def perturbation_series(
         x_k[n] = 0.0
         corrections[k] = x_k
 
-    return StateSeries(state_index, TruncatedSeries(order, tuple(energies)))
+    series = Polynomial(tuple(energies.tolist())).checked_finite()
+    return StateSeries(state_index, series)
 
 
 def p_space_series(model: MatrixModel, order: int) -> list[StateSeries]:

@@ -9,85 +9,46 @@ Hamiltonian matrix is ever constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import EmptyList, OrderMismatch, RootFindingFailure
 from .roots import all_roots, sort_roots
 from .rspt import StateSeries
-from .series import TruncatedSeries
+from .series import MonicPolynomial, Polynomial
 
 
-@dataclass(frozen=True)
-class SeriesPolynomial:
-    """Monic degree-N polynomial in W with truncated-series coefficients.
-
-    coefficients holds p_1..p_N where p_j multiplies W^(N-j); the leading
-    coefficient 1 is implicit.  All coefficient series share one truncation
-    order.
-    """
-
-    degree: int
-    order: int
-    coefficients: tuple[TruncatedSeries, ...]
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if len(self.coefficients) != self.degree:
-            raise ValueError(
-                f"expected {self.degree} coefficient series, got "
-                f"{len(self.coefficients)}"
-            )
-        for series in self.coefficients:
-            if series.order != self.order:
-                raise OrderMismatch(
-                    f"coefficient order {series.order} != polynomial order "
-                    f"{self.order}"
-                )
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "order": self.order,
-            "coefficients": [list(s.coefficients) for s in self.coefficients],
-        }
-
-
-def reconstruct(
-    series_list: Iterable[Union[StateSeries, TruncatedSeries]],
-) -> SeriesPolynomial:
+def reconstruct(series_list: Iterable[StateSeries]) -> MonicPolynomial:
     """Expand prod (W - E_n) with truncation at every multiplication.
 
-    Accepts the state series produced by the perturbation engine or bare
-    truncated series.  The result is symmetric in the inputs, so the
-    accumulation order is immaterial.
+    Every coefficient series p_j keeps the K+1 coefficients of the input
+    series.  The result is symmetric in the inputs, so the accumulation
+    order is immaterial.  A coefficient that overflows to a non-finite value
+    raises ValueError.
     """
-    factors = [
-        s.energy_series if isinstance(s, StateSeries) else s for s in series_list
-    ]
+    factors = [s.energy_series for s in series_list]
     if not factors:
         raise EmptyList("reconstruct needs at least one energy series")
-    order = factors[0].order
+    order = factors[0].degree
     for s in factors:
-        if s.order != order:
-            raise OrderMismatch(f"series orders differ: {order} vs {s.order}")
+        if s.degree != order:
+            raise OrderMismatch(f"series orders differ: {order} vs {s.degree}")
 
     # ascending powers of W; starts as the constant polynomial 1
-    poly = [TruncatedSeries.constant(1.0, order)]
-    zero = TruncatedSeries.zero(order)
+    zero = Polynomial((0.0,) * (order + 1))
+    poly = [Polynomial((1.0,) + (0.0,) * order)]
     for s in factors:
-        shifted = [zero] + poly                      # W * poly
-        scaled = [c * s for c in poly] + [zero]      # E_n * poly
+        shifted = [zero] + poly                            # W * poly
+        scaled = [c.mul(s, order) for c in poly] + [zero]  # E_n * poly
         poly = [a - b for a, b in zip(shifted, scaled)]
 
     n = len(factors)
     # p_j multiplies W^(N-j); drop the implicit leading 1
-    p = tuple(poly[n - j] for j in range(1, n + 1))
-    return SeriesPolynomial(degree=n, order=order, coefficients=p)
+    return MonicPolynomial(
+        tuple(poly[n - j].checked_finite() for j in range(1, n + 1))
+    )
 
 
-def eigenvalues_at(poly: SeriesPolynomial, lam: complex) -> list[complex]:
+def eigenvalues_at(poly: MonicPolynomial, lam: complex) -> list[complex]:
     """All N roots in W at one coupling value, in canonical order."""
     ascending = [poly.coefficients[poly.degree - 1 - i].evaluate(lam)
                  for i in range(poly.degree)]

@@ -1,18 +1,23 @@
-"""Power series in the coupling truncated at a fixed order K.
+"""Polynomials in the coupling, and monic energy polynomials over them.
 
-Every arithmetic operation keeps the truncation order: multiplication is a
-Cauchy product with all terms of degree > K discarded at the moment they
-would be formed, never post-hoc on an assembled polynomial.  Coefficients
-are double-precision reals; complex numbers appear only at evaluation time.
+One type serves both the truncated energy series of the perturbation
+engine and the exact lambda polynomials of the characteristic polynomial
+and the discriminant.  Truncation is an explicit argument of ``mul``: with
+an order K every term of degree > K is discarded at the moment it would be
+formed, never post-hoc on an assembled product.  No operation drops
+trailing coefficients on its own; ``trimmed`` does, and it is called only
+where a degree is decided.  Coefficients are double-precision reals;
+complex numbers appear only at evaluation time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Union
 
-from .errors import OrderMismatch
+# absolute tolerance for trailing-zero stripping; degree decisions feed the
+# discriminant, so the cutoff is read in trimmed() and nowhere else
+TRAILING_ZERO_TOL = 1e-12
 
 
 def format_coefficients(coefficients, var: str = "x") -> str:
@@ -33,100 +38,106 @@ def format_coefficients(coefficients, var: str = "x") -> str:
 
 
 @dataclass(frozen=True)
-class TruncatedSeries:
-    """Real coefficients c_0..c_K of a series truncated at order K."""
+class Polynomial:
+    """Real polynomial in the coupling, ascending coefficients c_0..c_D.
 
-    order: int
+    A truncated series of order K is a polynomial with K+1 coefficients.
+    degree counts trailing zeros until trimmed() drops them.  Sums pad the
+    shorter operand with zeros.
+    """
+
     coefficients: tuple[float, ...]
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"order must be non-negative, got {self.order}")
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError(
-                f"expected {self.order + 1} coefficients, got {len(self.coefficients)}"
-            )
-        coeffs = tuple(float(c) for c in self.coefficients)
-        for c in coeffs:
-            if not isfinite(c):
-                raise ValueError(f"non-finite coefficient {c!r}")
-        object.__setattr__(self, "coefficients", coeffs)
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients) - 1
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order, (0.0,) * (order + 1))
+    def is_zero(self) -> bool:
+        return not any(self.coefficients)
 
-    @classmethod
-    def constant(cls, value: float, order: int) -> "TruncatedSeries":
-        return cls(order, (float(value),) + (0.0,) * order)
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        a, b = self.coefficients, other.coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return Polynomial(tuple(out))
 
-    @classmethod
-    def monomial(cls, power: int, coefficient: float, order: int) -> "TruncatedSeries":
-        if not (0 <= power <= order):
-            raise ValueError(f"power {power} outside 0..{order}")
-        coeffs = [0.0] * (order + 1)
-        coeffs[power] = float(coefficient)
-        return cls(order, tuple(coeffs))
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + (-other)
 
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise OrderMismatch(
-                f"truncation orders differ: {self.order} vs {other.order}"
-            )
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(tuple(-c for c in self.coefficients))
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-        )
+    def scale(self, factor: float) -> "Polynomial":
+        return Polynomial(tuple(factor * c for c in self.coefficients))
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order,
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, tuple(-c for c in self.coefficients))
-
-    def __mul__(self, other: Union["TruncatedSeries", float]) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            return self.mul_truncated(other)
-        return self.scale(float(other))
-
-    __rmul__ = __mul__
-
-    def scale(self, factor: float) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.order, tuple(factor * c for c in self.coefficients)
-        )
-
-    def mul_truncated(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product with every term of degree > K removed."""
-        self._check_order(other)
-        k = self.order
-        out = [0.0] * (k + 1)
+    def mul(self, other: "Polynomial", order: int | None = None) -> "Polynomial":
+        """Product; with an order K, the Cauchy product's K+1 lowest terms."""
+        b = other.coefficients
+        size = len(self.coefficients) + len(b) - 1 if order is None else order + 1
+        out = [0.0] * size
         for i, a in enumerate(self.coefficients):
             if a == 0.0:
                 continue
-            for j in range(k + 1 - i):
-                out[i + j] += a * other.coefficients[j]
-        return TruncatedSeries(k, tuple(out))
+            for j in range(min(len(b), size - i)):
+                out[i + j] += a * b[j]
+        return Polynomial(tuple(out))
+
+    def trimmed(self) -> "Polynomial":
+        """Drop trailing coefficients at or below TRAILING_ZERO_TOL.
+
+        The constant coefficient always stays, so zero is (0.0,).
+        """
+        coeffs = list(self.coefficients) or [0.0]
+        while len(coeffs) > 1 and abs(coeffs[-1]) <= TRAILING_ZERO_TOL:
+            coeffs.pop()
+        return Polynomial(tuple(coeffs))
+
+    def checked_finite(self) -> "Polynomial":
+        """Self, or ValueError if a coefficient is infinite or NaN."""
+        for c in self.coefficients:
+            if not isfinite(c):
+                raise ValueError(f"non-finite coefficient {c!r}")
+        return self
 
     def evaluate(self, lam: complex) -> complex:
-        """Horner evaluation of the partial sum at a (complex) coupling."""
+        """Horner evaluation at a (complex) coupling."""
         acc = 0.0 + 0.0j if isinstance(lam, complex) else 0.0
         for c in reversed(self.coefficients):
             acc = acc * lam + c
         return acc
 
-    def is_even(self, tol: float) -> bool:
-        """True iff every odd-power coefficient has magnitude <= tol."""
-        if tol <= 0:
-            raise ValueError(f"tol must be positive, got {tol}")
-        return all(abs(c) <= tol for c in self.coefficients[1::2])
+    def derivative(self) -> "Polynomial":
+        if self.degree < 1:
+            return Polynomial((0.0,))
+        return Polynomial(
+            tuple(k * c for k, c in enumerate(self.coefficients) if k > 0)
+        )
 
     def __str__(self) -> str:
         return format_coefficients(self.coefficients)
+
+
+@dataclass(frozen=True)
+class MonicPolynomial:
+    """Monic polynomial in the energy variable with coupling-polynomial
+    coefficients.
+
+    coefficients holds p_1..p_d where p_j multiplies E^(d-j); the leading
+    coefficient 1 is implicit, so the degree d is the number of coefficients.
+    """
+
+    coefficients: tuple[Polynomial, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients)
+
+    def to_dict(self) -> dict:
+        return {
+            "degree": self.degree,
+            "order": max(p.degree for p in self.coefficients),
+            "coefficients": [list(p.coefficients) for p in self.coefficients],
+        }

@@ -4,11 +4,11 @@ from pathlib import Path
 import pytest
 
 from secres import MatrixModel, load_model, validate
+from secres.cli import bundled_model_path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-REPO_ROOT = Path(__file__).parent.parent
-ZHENG3_PATH = REPO_ROOT / "models" / "zheng3.json"
+ZHENG3_PATH = bundled_model_path()
 
 
 @pytest.fixture(scope="session")

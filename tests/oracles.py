@@ -2,8 +2,9 @@
 
 Nothing here may call into the package's own arithmetic: polynomial products
 are plain convolutions, eigenvalues come from Jacobi rotations, low-order
-perturbation coefficients from the closed-form sum, and discriminants from
-the textbook quadratic/cubic formulas.
+perturbation coefficients from the closed-form sum, characteristic
+polynomials from cofactor expansion, and discriminants from the textbook
+quadratic/cubic formulas.
 """
 
 from __future__ import annotations
@@ -18,6 +19,26 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def poly_add(a, b):
+    """Sum of ascending coefficient lists, the shorter one zero-padded."""
+    out = list(a) + [0.0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def monomial(power, coefficient, order):
+    """coefficient * x^power as order+1 ascending coefficients."""
+    out = [0.0] * (order + 1)
+    out[power] = coefficient
+    return out
+
+
+def is_even(coefficients, tol):
+    """True iff every odd-power coefficient has magnitude <= tol."""
+    return all(abs(c) <= tol for c in list(coefficients)[1::2])
 
 
 def truncate(coefficients, order):
@@ -102,3 +123,40 @@ def random_model_data(rng, dim, min_gap=0.05, coupling_range=(0.1, 1.0)):
         for j in range(i + 1, dim + 1)
     )
     return tuple(float(x) for x in h0), interaction
+
+
+def _bivariate_det(matrix):
+    """Laplace expansion along the first row.
+
+    Entries are polynomials in E (lists indexed by the power of E) whose
+    coefficients are lambda coefficient lists.
+    """
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = [[0.0]]
+    for col, entry in enumerate(matrix[0]):
+        if not any(any(p) for p in entry):
+            continue
+        minor = _bivariate_det([row[:col] + row[col + 1:] for row in matrix[1:]])
+        sign = -1.0 if col % 2 else 1.0
+        for i, p in enumerate(entry):
+            for j, q in enumerate(minor):
+                term = [sign * c for c in poly_mul(p, q)]
+                total += [[0.0]] * (i + j + 1 - len(total))
+                total[i + j] = poly_add(total[i + j], term)
+    return total
+
+
+def charpoly_cofactor(model):
+    """p_1..p_D of det(E*I - H(lambda)) by cofactor expansion.
+
+    Returns lambda coefficient lists; p_j multiplies E^(D-j).
+    """
+    dim = model.dimension
+    matrix = [[[[0.0]] for _ in range(dim)] for _ in range(dim)]
+    for i, e in enumerate(model.h0_diagonal):
+        matrix[i][i] = [[-e], [1.0]]
+    for i, j, value in model.interaction:
+        matrix[i - 1][j - 1] = matrix[j - 1][i - 1] = [[0.0, -value]]
+    det = _bivariate_det(matrix)
+    return [det[dim - j] for j in range(1, dim + 1)]

@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from secres import (
@@ -259,3 +261,56 @@ def test_table1_output(capsys):
     assert set(values) == {"2", "4", "6", "8", "10", "exact"}
     assert values["2"] == pytest.approx(0.05147186257, abs=1e-9)
     assert values["exact"] == pytest.approx(0.05139217757, abs=1e-9)
+
+
+def test_reconstruct_overflow_exits_2(tmp_path, capsys):
+    # a 1e-200 gap makes the order-4 series overflow: a validation-class error
+    path = tmp_path / "tiny_gap.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "h0_diagonal": [0.0, 1e-200],
+        "interaction": [[1, 2, 1.0]],
+        "p_space": [1],
+    }))
+    with np.errstate(all="ignore"):
+        code, _, err = run(capsys, "reconstruct", "--model", str(path), "--order", "4")
+    assert code == 2
+    assert "non-finite coefficient" in err
+
+
+def test_ep_nan_discriminant_roots_exit_3(tmp_path, capsys):
+    # the order-40 discriminant of this D=3 model overflows the root
+    # iteration to NaN; that is a root-finding failure, not a bad model
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "dimension": 3,
+        "h0_diagonal": [0.08908619624126235, -0.48167990866046884, -1.982383759125323],
+        "interaction": [
+            [2, 1, 0.5095400181377714],
+            [3, 2, -0.37821667639322565],
+            [3, 1, 0.8776836689221061],
+        ],
+        "p_space": [2, 1],
+    }))
+    code, out, err = run(capsys, "ep", "--model", str(path), "--orders", "40")
+    assert code == 3
+    assert out == ""
+    assert "RootFindingFailure" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("charpoly.txt", ("charpoly", "--model", MODEL)),
+        ("ep.json", ("ep", "--model", MODEL, "--orders", "2,4,6,8,10,20,40", "--exact")),
+        ("reconstruct30.json", ("reconstruct", "--model", MODEL, "--order", "30")),
+        ("table1.txt", ("table1",)),
+    ],
+)
+def test_golden_output(capsys, name, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

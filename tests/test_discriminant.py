@@ -8,9 +8,8 @@ from secres import (
     EXACT_SOURCE,
     EmptyList,
     ExceptionalPointEstimate,
-    LambdaPolynomial,
-    SeriesPolynomial,
-    TruncatedSeries,
+    MonicPolynomial,
+    Polynomial,
     characteristic_polynomial,
     discriminant,
     eigenvalues_at,
@@ -35,12 +34,8 @@ TABLE_PRESENT = {
 }
 
 
-def quadratic_series_poly(p1, p2, order):
-    return SeriesPolynomial(
-        degree=2,
-        order=order,
-        coefficients=(TruncatedSeries(order, p1), TruncatedSeries(order, p2)),
-    )
+def quadratic_poly(p1, p2):
+    return MonicPolynomial((Polynomial(p1), Polynomial(p2)))
 
 
 def test_order2_reconstruction_discriminant(zheng3):
@@ -60,19 +55,19 @@ def test_quadratic_sylvester_matches_formula():
         order = int(rng.integers(1, 5))
         p1 = tuple(rng.uniform(-2, 2, order + 1))
         p2 = tuple(rng.uniform(-2, 2, order + 1))
-        disc = discriminant(quadratic_series_poly(p1, p2, order))
+        disc = discriminant(quadratic_poly(p1, p2))
         for _ in range(4):
             lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             want = quadratic_discriminant_value(
-                TruncatedSeries(order, p1).evaluate(lam),
-                TruncatedSeries(order, p2).evaluate(lam),
+                Polynomial(p1).evaluate(lam),
+                Polynomial(p2).evaluate(lam),
             )
             got = disc.evaluate(lam)
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_trivial_quadratic_discriminant():
-    poly = quadratic_series_poly((0.0, 0.0, 0.0), (0.0, 0.0, -1.0), 2)
+    poly = quadratic_poly((0.0, 0.0, 0.0), (0.0, 0.0, -1.0))
     disc = discriminant(poly)
     assert list(disc.coefficients) == pytest.approx([0.0, 0.0, 4.0], abs=1e-15)
 
@@ -98,13 +93,11 @@ def test_exact_discriminant_is_even(zheng3):
 
 
 def test_degree_too_small():
-    single = SeriesPolynomial(
-        degree=1, order=2, coefficients=(TruncatedSeries.zero(2),)
-    )
+    single = MonicPolynomial((Polynomial((0.0, 0.0, 0.0)),))
     with pytest.raises(DegreeTooSmall):
         discriminant(single)
     with pytest.raises(DegreeTooSmall):
-        exceptional_points(LambdaPolynomial.constant(3.0), EXACT_SOURCE)
+        exceptional_points(Polynomial((3.0,)), EXACT_SOURCE)
 
 
 def test_exact_exceptional_points(zheng3):
@@ -253,7 +246,7 @@ def test_nearest_empty_raises():
 
 
 def test_double_root_at_origin():
-    points = exceptional_points(LambdaPolynomial((0.0, 0.0, 4.0)), EXACT_SOURCE)
+    points = exceptional_points(Polynomial((0.0, 0.0, 4.0)), EXACT_SOURCE)
     assert len(points) == 2
     for p in points:
         assert p.modulus < 1e-12

@@ -17,8 +17,6 @@ from secres import (
     validate,
 )
 
-from conftest import ZHENG3_PATH
-
 
 def model_with(**overrides) -> MatrixModel:
     fields = dict(
@@ -106,12 +104,6 @@ def test_load_model_rejects_non_object(tmp_path):
     path.write_text("[1, 2, 3]")
     with pytest.raises(ModelFormatError):
         load_model(path)
-
-
-def test_fixture_file_matches_bundled_copy():
-    from secres.cli import bundled_model_path
-
-    assert ZHENG3_PATH.read_bytes() == bundled_model_path().read_bytes()
 
 
 def test_hamiltonian_at_zero_is_diagonal(zheng3):

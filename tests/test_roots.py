@@ -131,6 +131,14 @@ def test_max_residual_finite_and_small():
     assert result.max_residual < 1e-10
 
 
+def test_non_finite_iterate_is_not_converged():
+    # the Cauchy circle of radius 1e8 overflows z^80 and the first step is
+    # NaN; max() would skip it, so the failure must be reported explicitly
+    result = all_roots([1.0] + [0.0] * 79 + [1e-8])
+    assert not result.converged
+    assert np.isnan(result.max_residual)
+
+
 def test_sort_roots_convention():
     values = [1.0 + 1.0j, 1.0 - 1.0j, 0.5 + 0.0j]
     assert sort_roots(values) == [0.5 + 0.0j, 1.0 - 1.0j, 1.0 + 1.0j]

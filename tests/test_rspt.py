@@ -9,7 +9,7 @@ from secres import (
     perturbation_series,
 )
 
-from oracles import random_model_data, second_order_coefficient
+from oracles import is_even, random_model_data, second_order_coefficient
 from secres import MatrixModel, validate
 
 TOY_COUPLINGS = {(1, 2): 1.0, (2, 3): 1.0}
@@ -60,6 +60,15 @@ def test_negative_order_rejected(zheng3):
         perturbation_series(zheng3, 1, -1)
 
 
+def test_overflowing_series_rejected():
+    # a 1e-200 gap makes the fourth-order coefficient overflow to inf
+    model = validate(MatrixModel(2, (0.0, 1e-200), ((1, 2, 1.0),), (1,)))
+    with np.errstate(all="ignore"), pytest.raises(
+        ValueError, match="non-finite coefficient"
+    ):
+        p_space_series(model, 4)
+
+
 def test_p_space_series_follows_p_space_order(zheng3):
     states = p_space_series(zheng3, 2)
     assert [s.state_index for s in states] == [2, 3]
@@ -90,7 +99,7 @@ def test_trace_identity_all_orders(zheng3):
 def test_parity_odd_coefficients_vanish(zheng3):
     for n in (1, 2, 3):
         series = perturbation_series(zheng3, n, 10).energy_series
-        assert series.is_even(1e-12)
+        assert is_even(series.coefficients, 1e-12)
 
 
 def test_prefix_stability(zheng3):

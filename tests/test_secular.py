@@ -5,8 +5,8 @@ from secres import (
     EmptyList,
     MatrixModel,
     OrderMismatch,
-    SeriesPolynomial,
-    TruncatedSeries,
+    Polynomial,
+    StateSeries,
     characteristic_polynomial,
     eigenvalues_at,
     exact_eigenvalues_at,
@@ -20,7 +20,8 @@ from oracles import poly_mul, truncate
 
 def test_reconstruct_two_states_matches_hand_expansion(zheng3):
     poly = reconstruct(p_space_series(zheng3, 2))
-    assert poly.degree == 2 and poly.order == 2
+    assert poly.degree == 2
+    assert all(len(p.coefficients) == 3 for p in poly.coefficients)
     perturbed = p_space_series(zheng3, 2)
     s_mid = perturbed[0].energy_series.coefficients
     s_low = perturbed[1].energy_series.coefficients
@@ -41,7 +42,7 @@ def test_reconstruct_two_states_matches_hand_expansion(zheng3):
 
 
 def test_reconstruct_single_series():
-    s = TruncatedSeries(2, (1.0, 0.0, -10.0))
+    s = StateSeries(1, Polynomial((1.0, 0.0, -10.0)))
     poly = reconstruct([s])
     assert poly.degree == 1
     assert poly.coefficients[0].coefficients == (-1.0, -0.0, 10.0)
@@ -92,7 +93,17 @@ def test_reconstruct_empty_raises():
 
 def test_reconstruct_mixed_orders_raises():
     with pytest.raises(OrderMismatch):
-        reconstruct([TruncatedSeries.zero(2), TruncatedSeries.zero(3)])
+        reconstruct([
+            StateSeries(1, Polynomial((0.0,) * 3)),
+            StateSeries(2, Polynomial((0.0,) * 4)),
+        ])
+
+
+def test_reconstruct_rejects_overflow():
+    # the product of the two constants overflows to inf in p_2
+    huge = Polynomial((1e200, 0.0))
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        reconstruct([StateSeries(1, huge), StateSeries(2, huge)])
 
 
 def test_vieta_sum_of_roots(zheng3):
@@ -140,17 +151,6 @@ def test_monotone_convergence_at_small_coupling(zheng3):
         if previous is not None:
             assert error <= previous
         previous = error
-
-
-def test_series_polynomial_validation():
-    with pytest.raises(OrderMismatch):
-        SeriesPolynomial(
-            degree=2,
-            order=2,
-            coefficients=(TruncatedSeries.zero(2), TruncatedSeries.zero(3)),
-        )
-    with pytest.raises(ValueError):
-        SeriesPolynomial(degree=0, order=2, coefficients=())
 
 
 def test_to_dict_schema(zheng3):
