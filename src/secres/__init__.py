@@ -33,7 +33,6 @@ from .errors import (
 )
 from .model import (
     MatrixModel,
-    hamiltonian_at,
     interaction_matrix,
     load_model,
     validate,
@@ -73,7 +72,6 @@ __all__ = [
     "exact_eigenvalues_at",
     "exceptional_points",
     "format_coefficients",
-    "hamiltonian_at",
     "interaction_matrix",
     "load_model",
     "nearest_exceptional_point",

@@ -1,11 +1,11 @@
 """Discriminants in the coupling ring and exceptional-point location.
 
-For a monic polynomial p of degree d in the energy variable, the
-discriminant is (-1)^(d(d-1)/2) times the resultant of p and dp/dE,
-computed as the determinant of the Sylvester matrix whose entries are
-lambda polynomials.  Roots of the discriminant are couplings where two
-eigenvalues coalesce; the one closest to the origin bounds the convergence
-of the underlying perturbation series.
+For a monic polynomial p of degree N in the energy variable, the
+discriminant prod_{i<j} (E_i - E_j)^2 is the determinant of the N x N
+Bezout matrix of p and dp/dE, whose entries are lambda polynomials.  Roots
+of the discriminant are couplings where two eigenvalues coalesce; the one
+closest to the origin bounds the convergence of the underlying
+perturbation series.
 
 The discriminant of an order-K reconstruction is deliberately NOT
 re-truncated at lambda^K: its small roots at full length are what converge
@@ -25,8 +25,6 @@ from .series import MonicPolynomial, Polynomial
 EXACT_SOURCE = "exact"
 # relative tolerance for grouping symmetry partners (+-lambda, conjugates)
 MODULUS_TIE_TOL = 1e-12
-POLISH_MAX_STEPS = 50
-POLISH_STEP_TOL = 1e-15
 
 
 def reconstruction_source(order: int) -> str:
@@ -38,9 +36,8 @@ class ExceptionalPointEstimate:
     """A coupling value where two eigenvalues coalesce.
 
     source is "exact" for the true characteristic polynomial or "order-K"
-    for an order-K reconstruction; residual is |discriminant(lambda_value)|
-    after polishing; multiplicity counts the symmetry partners sharing this
-    modulus.
+    for an order-K reconstruction; residual is |discriminant(lambda_value)|;
+    multiplicity counts the symmetry partners sharing this modulus.
     """
 
     lambda_value: complex
@@ -70,7 +67,7 @@ def discriminant(poly: MonicPolynomial) -> Polynomial:
     """Discriminant with respect to the energy variable, as a lambda polynomial.
 
     The coefficients p_j and the result are trimmed, since their degrees
-    decide the Sylvester entries and the number of exceptional points.
+    decide the Bezout entries and the number of exceptional points.
     """
     degree = poly.degree
     if degree < 2:
@@ -80,22 +77,26 @@ def discriminant(poly: MonicPolynomial) -> Polynomial:
     p = [q.trimmed() for q in poly.coefficients]
     degree_cap = degree * (degree - 1) * max(q.degree for q in p)
 
-    # descending coefficient rows of p (monic) and dp/dE
-    a = [Polynomial((1.0,))] + p
-    b = [a[i].scale(float(degree - i)) for i in range(degree)]
+    # ascending energy coefficients of p (monic) and of g = dp/dE
+    f = p[::-1] + [Polynomial((1.0,))]
+    g = [f[m + 1].scale(float(m + 1)) for m in range(degree)] + [Polynomial((0.0,))]
 
-    size = 2 * degree - 1
-    zero = Polynomial((0.0,))
-    sylvester = []
-    for shift in range(degree - 1):
-        sylvester.append([zero] * shift + a + [zero] * (degree - 2 - shift))
-    for shift in range(degree):
-        sylvester.append([zero] * shift + b + [zero] * (degree - 1 - shift))
-    assert all(len(row) == size for row in sylvester)
+    # Bezout matrix: (f(x)g(y) - f(y)g(x)) / (x - y) = sum B[i][j] x^i y^j
+    bezout = []
+    for i in range(degree):
+        row = []
+        for j in range(degree):
+            entry = Polynomial((0.0,))
+            for k in range(min(i, degree - 1 - j) + 1):
+                entry = (
+                    entry
+                    + f[j + k + 1].mul(g[i - k])
+                    - f[i - k].mul(g[j + k + 1])
+                )
+            row.append(entry)
+        bezout.append(row)
 
-    resultant = _det(sylvester)
-    sign = -1.0 if (degree * (degree - 1) // 2) % 2 else 1.0
-    disc = resultant.scale(sign).trimmed()
+    disc = _det(bezout).trimmed()
     if disc.degree > degree_cap:
         raise ValueError(
             f"discriminant degree {disc.degree} exceeds cap {degree_cap}"
@@ -103,34 +104,15 @@ def discriminant(poly: MonicPolynomial) -> Polynomial:
     return disc
 
 
-def _polish_root(disc: Polynomial, root: complex) -> complex:
-    """Newton refinement on the discriminant; keeps the start on failure."""
-    derivative = disc.derivative()
-    best = root
-    best_residual = abs(disc.evaluate(root))
-    z = root
-    for _ in range(POLISH_MAX_STEPS):
-        dp = derivative.evaluate(z)
-        if dp == 0:
-            break
-        step = disc.evaluate(z) / dp
-        z = z - step
-        residual = abs(disc.evaluate(z))
-        if residual < best_residual:
-            best, best_residual = z, residual
-        if abs(step) < POLISH_STEP_TOL * (1.0 + abs(z)):
-            break
-    return best
-
-
 def exceptional_points(
     disc: Polynomial, source: str
 ) -> list[ExceptionalPointEstimate]:
     """All coalescence couplings from a discriminant polynomial.
 
-    Roots are polished by Newton iteration, grouped into modulus classes
-    (symmetry partners), and returned sorted by ascending modulus with ties
-    broken by ascending principal argument.
+    Roots come from all_roots, whose final Newton steps are the only
+    refinement; they are grouped into modulus classes (symmetry partners)
+    and returned sorted by ascending modulus with ties broken by ascending
+    principal argument.
     """
     if disc.degree < 1:
         raise DegreeTooSmall(
@@ -144,12 +126,11 @@ def exceptional_points(
             roots=result.roots,
             max_residual=result.max_residual,
         )
-    polished = [_polish_root(disc, z) for z in result.roots]
-    polished.sort(key=lambda z: (abs(z), cmath.phase(z)))
+    roots = sorted(result.roots, key=lambda z: (abs(z), cmath.phase(z)))
 
     # group symmetry partners by modulus
     classes: list[list[complex]] = []
-    for z in polished:
+    for z in roots:
         if classes and abs(abs(z) - abs(classes[-1][0])) <= MODULUS_TIE_TOL * max(
             1.0, abs(classes[-1][0])
         ):

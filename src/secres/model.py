@@ -131,13 +131,3 @@ def interaction_matrix(model: MatrixModel) -> np.ndarray:
         v[j - 1, i - 1] = value
     return v
 
-
-def hamiltonian_at(model: MatrixModel, lam: complex) -> np.ndarray:
-    """Dense complex H(lambda) = diag(h0) + lambda*V.
-
-    The result is complex-symmetric for every lambda (Hermitian only when
-    lambda is real).
-    """
-    h = np.diag(np.asarray(model.h0_diagonal, dtype=complex))
-    h += complex(lam) * interaction_matrix(model)
-    return h

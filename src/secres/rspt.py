@@ -64,14 +64,16 @@ def perturbation_series(
 
     corrections = np.zeros((order + 1, model.dimension))
     corrections[0, n] = 1.0
-    for k in range(1, order + 1):
-        coupled = v @ corrections[k - 1]
-        energies[k] = coupled[n]
-        for j in range(1, k):
-            coupled -= energies[j] * corrections[k - j]
-        x_k = coupled / denom
-        x_k[n] = 0.0
-        corrections[k] = x_k
+    # overflow is reported by checked_finite() below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, order + 1):
+            coupled = v @ corrections[k - 1]
+            energies[k] = coupled[n]
+            for j in range(1, k):
+                coupled -= energies[j] * corrections[k - j]
+            x_k = coupled / denom
+            x_k[n] = 0.0
+            corrections[k] = x_k
 
     series = Polynomial(tuple(energies.tolist())).checked_finite()
     return StateSeries(state_index, series)

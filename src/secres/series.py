@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
-# absolute tolerance for trailing-zero stripping; degree decisions feed the
-# discriminant, so the cutoff is read in trimmed() and nowhere else
+# tolerance for trailing-zero stripping, relative to the largest coefficient;
+# degree decisions feed the discriminant, so it is read in trimmed() only
 TRAILING_ZERO_TOL = 1e-12
 
 
@@ -86,12 +86,14 @@ class Polynomial:
         return Polynomial(tuple(out))
 
     def trimmed(self) -> "Polynomial":
-        """Drop trailing coefficients at or below TRAILING_ZERO_TOL.
+        """Drop trailing coefficients at or below TRAILING_ZERO_TOL * max|c_k|.
 
-        The constant coefficient always stays, so zero is (0.0,).
+        The cutoff scales with the coefficients, so a change of units keeps
+        the degree.  The constant coefficient always stays, so zero is (0.0,).
         """
         coeffs = list(self.coefficients) or [0.0]
-        while len(coeffs) > 1 and abs(coeffs[-1]) <= TRAILING_ZERO_TOL:
+        cutoff = TRAILING_ZERO_TOL * max(abs(c) for c in coeffs)
+        while len(coeffs) > 1 and abs(coeffs[-1]) <= cutoff:
             coeffs.pop()
         return Polynomial(tuple(coeffs))
 
@@ -108,13 +110,6 @@ class Polynomial:
         for c in reversed(self.coefficients):
             acc = acc * lam + c
         return acc
-
-    def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial((0.0,))
-        return Polynomial(
-            tuple(k * c for k, c in enumerate(self.coefficients) if k > 0)
-        )
 
     def __str__(self) -> str:
         return format_coefficients(self.coefficients)

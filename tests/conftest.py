@@ -6,9 +6,21 @@ import pytest
 from secres import MatrixModel, load_model, validate
 from secres.cli import bundled_model_path
 
-sys.path.insert(0, str(Path(__file__).parent))
+TESTS_DIR = Path(__file__).parent
+sys.path.insert(0, str(TESTS_DIR))
 
 ZHENG3_PATH = bundled_model_path()
+
+
+def pytest_collection_modifyitems(items):
+    """A warning in any test here fails it, as if pytest ran with -W error.
+
+    Scoped to this directory so that tools collected alongside keep their
+    own warning settings.
+    """
+    for item in items:
+        if TESTS_DIR in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 @pytest.fixture(scope="session")

@@ -94,6 +94,18 @@ def jacobi_eigenvalues(matrix, sweeps=100, tol=1e-14):
     return np.sort(np.diag(a))
 
 
+def hamiltonian_at(model, lam):
+    """Dense complex H(lambda) = diag(h0) + lambda*V, filled entry by entry.
+
+    The result is complex-symmetric for every lambda (Hermitian only when
+    lambda is real).
+    """
+    h = np.diag(np.asarray(model.h0_diagonal, dtype=complex))
+    for i, j, value in model.interaction:
+        h[i - 1, j - 1] = h[j - 1, i - 1] = complex(lam) * value
+    return h
+
+
 def quadratic_discriminant_value(p1, p2):
     """Discriminant of W^2 + p1 W + p2 at given coefficient values."""
     return p1 * p1 - 4.0 * p2

@@ -19,7 +19,6 @@ from secres import (
     eigenvalues_at,
     exact_eigenvalues_at,
     exceptional_points,
-    hamiltonian_at,
     nearest_exceptional_point,
     p_space_series,
     perturbation_series,
@@ -30,7 +29,7 @@ from secres import (
 from secres.cli import main as cli_main
 
 from conftest import ZHENG3_PATH
-from oracles import jacobi_eigenvalues, random_model_data
+from oracles import hamiltonian_at, jacobi_eigenvalues, random_model_data
 
 MODEL = str(ZHENG3_PATH)
 

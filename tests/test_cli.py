@@ -1,7 +1,6 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from secres import (
@@ -263,6 +262,28 @@ def test_table1_output(capsys):
     assert values["exact"] == pytest.approx(0.05139217757, abs=1e-9)
 
 
+def table1_values(capsys, *argv):
+    code, out, err = run(capsys, "table1", *argv)
+    assert code == 0 and err == ""
+    return {label: float(value) for label, value in
+            (line.split() for line in out.splitlines()[1:])}
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e4, 1e6])
+def test_table1_invariant_under_change_of_units(tmp_path, capsys, scale):
+    # H -> aH keeps every coupling where two eigenvalues coalesce
+    data = json.loads(Path(MODEL).read_text())
+    data["h0_diagonal"] = [scale * e for e in data["h0_diagonal"]]
+    data["interaction"] = [[i, j, scale * v] for i, j, v in data["interaction"]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data))
+    want = table1_values(capsys)
+    got = table1_values(capsys, "--model", str(path))
+    assert got.keys() == want.keys()
+    for label, value in want.items():
+        assert got[label] == pytest.approx(value, rel=1e-10), label
+
+
 def test_reconstruct_overflow_exits_2(tmp_path, capsys):
     # a 1e-200 gap makes the order-4 series overflow: a validation-class error
     path = tmp_path / "tiny_gap.json"
@@ -272,10 +293,9 @@ def test_reconstruct_overflow_exits_2(tmp_path, capsys):
         "interaction": [[1, 2, 1.0]],
         "p_space": [1],
     }))
-    with np.errstate(all="ignore"):
-        code, _, err = run(capsys, "reconstruct", "--model", str(path), "--order", "4")
+    code, _, err = run(capsys, "reconstruct", "--model", str(path), "--order", "4")
     assert code == 2
-    assert "non-finite coefficient" in err
+    assert err == "error: ValueError: non-finite coefficient inf\n"
 
 
 def test_ep_nan_discriminant_roots_exit_3(tmp_path, capsys):

@@ -8,6 +8,7 @@ from secres import (
     EXACT_SOURCE,
     EmptyList,
     ExceptionalPointEstimate,
+    MatrixModel,
     MonicPolynomial,
     Polynomial,
     characteristic_polynomial,
@@ -19,9 +20,15 @@ from secres import (
     p_space_series,
     reconstruct,
     reconstruction_source,
+    validate,
 )
 
-from oracles import cubic_discriminant_value, quadratic_discriminant_value
+from oracles import (
+    cubic_discriminant_value,
+    hamiltonian_at,
+    quadratic_discriminant_value,
+    random_model_data,
+)
 
 EXACT_EP1_MODULUS = 0.05139217757
 EXACT_EP2 = 0.2381164319 + 0.5028706167j
@@ -49,7 +56,7 @@ def test_order2_reconstruction_discriminant(zheng3):
     assert disc.degree == 4
 
 
-def test_quadratic_sylvester_matches_formula():
+def test_quadratic_discriminant_matches_formula():
     rng = np.random.default_rng(41)
     for _ in range(15):
         order = int(rng.integers(1, 5))
@@ -84,6 +91,29 @@ def test_exact_discriminant_matches_cubic_formula(zheng3):
         )
         got = disc.evaluate(lam)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("dim", [
+    2, 3, 4, 5,
+    pytest.param(6, marks=pytest.mark.xfail(strict=True, reason=(
+        "double-precision determinant: the lambda^0 coefficient loses about "
+        "7 digits to cancellation (relative error 3.7e-10 at lambda=0.3+0.2i)"
+    ))),
+])
+def test_exact_discriminant_matches_eigenvalue_gaps(dim):
+    rng = np.random.default_rng(100 + dim)
+    h0, interaction = random_model_data(rng, dim)
+    model = validate(MatrixModel(dim, h0, interaction, (1,)))
+    disc = discriminant(characteristic_polynomial(model))
+    for lam in (0.3 + 0.2j, -0.45 + 0.7j):
+        energies = np.linalg.eigvals(hamiltonian_at(model, lam))
+        want = np.prod([
+            (a - b) ** 2
+            for i, a in enumerate(energies)
+            for b in energies[i + 1:]
+        ])
+        got = disc.evaluate(lam)
+        assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_exact_discriminant_is_even(zheng3):

@@ -11,11 +11,12 @@ from secres import (
     IndexOutOfRange,
     MatrixModel,
     ModelFormatError,
-    hamiltonian_at,
     interaction_matrix,
     load_model,
     validate,
 )
+
+from oracles import hamiltonian_at
 
 
 def model_with(**overrides) -> MatrixModel:
