@@ -8,14 +8,7 @@ radius of convergence.
 """
 
 from .charpoly import characteristic_polynomial, exact_eigenvalues_at
-from .discriminant import (
-    EXACT_SOURCE,
-    ExceptionalPointEstimate,
-    discriminant,
-    exceptional_points,
-    nearest_exceptional_point,
-    reconstruction_source,
-)
+from .discriminant import discriminant, exceptional_points, nearest_exceptional_point
 from .errors import (
     DegenerateUnperturbed,
     DegreeTooSmall,
@@ -24,6 +17,7 @@ from .errors import (
     EmptyList,
     EmptyPSpace,
     IndexOutOfRange,
+    InvariantViolation,
     ModelFormatError,
     OrderMismatch,
     RootFindingFailure,
@@ -51,9 +45,8 @@ __all__ = [
     "DuplicateEntry",
     "EmptyList",
     "EmptyPSpace",
-    "EXACT_SOURCE",
-    "ExceptionalPointEstimate",
     "IndexOutOfRange",
+    "InvariantViolation",
     "MatrixModel",
     "ModelFormatError",
     "MonicPolynomial",
@@ -78,7 +71,6 @@ __all__ = [
     "p_space_series",
     "perturbation_series",
     "reconstruct",
-    "reconstruction_source",
     "sort_roots",
     "validate",
 ]

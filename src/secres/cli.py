@@ -1,10 +1,17 @@
 """Command-line front end: validate models, run the pipeline, emit CSV/JSON.
 
-Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 numerical
-failure.  All output is deterministic for a fixed input and platform: no
-randomness, fixed iteration orders, fixed sorting conventions.  Floats in
-JSON reports are emitted as shortest-round-trip decimal strings so that no
-reader rounds them; CSV cells use 17-significant-digit scientific notation.
+The library returns plain roots and the records are built here: an EP
+record's modulus and residual come from its root and discriminant at output
+time, its multiplicity is the size of its symmetry group, and its source is
+"exact" or "order-K".  Each sweep row is computed and formatted in one step.
+
+Exit codes: 0 success, 1 I/O failure, 2 validation failure (a bad model or
+argument), 3 numerical failure (root finding, or an internal invariant such
+as a non-finite coefficient).  All output is deterministic for a fixed input
+and platform: no randomness, fixed iteration orders, fixed sorting
+conventions.  Floats in JSON reports are emitted as shortest-round-trip
+decimal strings so that no reader rounds them; CSV cells use
+17-significant-digit scientific notation.
 """
 
 from __future__ import annotations
@@ -12,24 +19,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .charpoly import characteristic_polynomial, exact_eigenvalues_at
-from .discriminant import (
-    EXACT_SOURCE,
-    ExceptionalPointEstimate,
-    discriminant,
-    exceptional_points,
-    nearest_exceptional_point,
-    reconstruction_source,
-)
+from .discriminant import discriminant, exceptional_points, nearest_exceptional_point
 from .errors import RootFindingFailure, SecresError, ValidationError
 from .model import MatrixModel, load_model
 from .rspt import p_space_series
 from .secular import eigenvalues_at, reconstruct
-from .series import format_coefficients
+from .series import Polynomial, format_coefficients
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -78,16 +78,6 @@ class SweepSpec:
                 raise ValueError(f"orders must be >= 0, got {k}")
 
 
-@dataclass
-class EigenSweepRow:
-    """One real coupling sample: exact spectrum plus per-order resummations."""
-
-    lambda_value: float
-    exact_energies: tuple[float, ...]
-    effective_energies: dict[int, tuple[complex, ...]] = field(default_factory=dict)
-    error: str = ""
-
-
 def bundled_model_path() -> Path:
     """Path of the tridiagonal 3x3 fixture shipped with the package."""
     return Path(str(resources.files("secres").joinpath("data/zheng3.json")))
@@ -100,73 +90,56 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def run_sweep(model: MatrixModel, spec: SweepSpec) -> list[EigenSweepRow]:
-    """Evaluate exact and resummed eigenvalues on the coupling grid.
+def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
+    """CSV of exact and resummed eigenvalues on the coupling grid.
 
-    Root-finding failures mark the row instead of aborting the sweep.
+    A root-finding failure marks its row instead of aborting the sweep: the
+    cells not yet filled read nan and the message goes in the error column.
     """
     cp = characteristic_polynomial(model)
-    polys = {
-        k: reconstruct(p_space_series(model, k)) for k in spec.orders
-    }
-    rows = []
-    width = spec.lambda_max - spec.lambda_min
-    for index in range(spec.steps):
-        lam = spec.lambda_min + width * index / (spec.steps - 1)
-        row = EigenSweepRow(lambda_value=lam, exact_energies=())
-        try:
-            exact = exact_eigenvalues_at(cp, lam)
-            row.exact_energies = tuple(z.real for z in exact)
-            for k in spec.orders:
-                row.effective_energies[k] = tuple(eigenvalues_at(polys[k], lam))
-        except RootFindingFailure as exc:
-            row.error = str(exc).replace(",", ";")
-        rows.append(row)
-    return rows
-
-
-def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
+    polys = {k: reconstruct(p_space_series(model, k)) for k in spec.orders}
     header = ["lambda"]
     header += [f"exact_{i}" for i in range(1, model.dimension + 1)]
     for k in spec.orders:
         header += [f"eff_K{k}_{i}" for i in range(1, len(model.p_space) + 1)]
     header.append("error")
     lines = [",".join(header)]
-    for row in run_sweep(model, spec):
-        cells = [_sci(row.lambda_value)]
-        if row.exact_energies:
-            cells += [_sci(x) for x in row.exact_energies]
-        else:
-            cells += ["nan"] * model.dimension
-        for k in spec.orders:
-            values = row.effective_energies.get(k)
-            if values is None:
-                cells += ["nan"] * len(model.p_space)
-            else:
-                cells += [_csv_energy(z) for z in values]
-        cells.append(row.error)
+    width = spec.lambda_max - spec.lambda_min
+    for index in range(spec.steps):
+        lam = spec.lambda_min + width * index / (spec.steps - 1)
+        cells = [_sci(lam)]
+        error = ""
+        try:
+            cells += [_sci(z.real) for z in exact_eigenvalues_at(cp, lam)]
+            for k in spec.orders:
+                cells += [_csv_energy(z) for z in eigenvalues_at(polys[k], lam)]
+        except RootFindingFailure as exc:
+            error = str(exc).replace(",", ";")
+        cells += ["nan"] * (len(header) - 1 - len(cells))
+        cells.append(error)
         lines.append(",".join(cells))
     return lines
 
 
-def _point_dict(point: ExceptionalPointEstimate) -> dict:
+def _point_dict(z: complex, source: str, disc: Polynomial) -> dict:
     return {
-        "re": _json_float(point.lambda_value.real),
-        "im": _json_float(point.lambda_value.imag),
-        "modulus": _json_float(point.modulus),
-        "source": point.source,
-        "residual": _json_float(point.residual),
+        "re": _json_float(z.real),
+        "im": _json_float(z.imag),
+        "modulus": _json_float(abs(z)),
+        "source": source,
+        "residual": _json_float(abs(disc.evaluate(z))),
     }
 
 
-def _ep_block(points: list[ExceptionalPointEstimate]) -> dict:
-    nearest = nearest_exceptional_point(points)
-    block = _point_dict(nearest)
-    block["multiplicity"] = nearest.multiplicity
+def _ep_block(disc: Polynomial, source: str) -> dict:
+    groups = exceptional_points(disc)
+    nearest = nearest_exceptional_point(groups)
+    block = _point_dict(nearest, source, disc)
+    block["multiplicity"] = len(groups[0])
     return {
         "nearest": block,
-        "nearest_modulus": _json_float(nearest.modulus),
-        "points": [_point_dict(p) for p in points],
+        "nearest_modulus": _json_float(abs(nearest)),
+        "points": [_point_dict(z, source, disc) for group in groups for z in group],
     }
 
 
@@ -177,12 +150,11 @@ def ep_report(
     report: dict = {"orders": []}
     if include_exact:
         disc = discriminant(characteristic_polynomial(model))
-        report["exact"] = _ep_block(exceptional_points(disc, EXACT_SOURCE))
+        report["exact"] = _ep_block(disc, "exact")
     for k in orders:
-        poly = reconstruct(p_space_series(model, k))
-        disc = discriminant(poly)
+        disc = discriminant(reconstruct(p_space_series(model, k)))
         entry = {"order": k}
-        entry.update(_ep_block(exceptional_points(disc, reconstruction_source(k))))
+        entry.update(_ep_block(disc, f"order-{k}"))
         report["orders"].append(entry)
     return report
 
@@ -341,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (RootFindingFailure, SecresError) as exc:
+    except SecresError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

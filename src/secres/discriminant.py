@@ -5,7 +5,9 @@ discriminant prod_{i<j} (E_i - E_j)^2 is the determinant of the N x N
 Bezout matrix of p and dp/dE, whose entries are lambda polynomials.  Roots
 of the discriminant are couplings where two eigenvalues coalesce; the one
 closest to the origin bounds the convergence of the underlying
-perturbation series.
+perturbation series.  Exceptional points are returned as plain complex
+couplings, grouped into symmetry partners (conjugates, +-lambda) by modulus;
+this is the only place that grouping is done.
 
 The discriminant of an order-K reconstruction is deliberately NOT
 re-truncated at lambda^K: its small roots at full length are what converge
@@ -15,36 +17,14 @@ to the true coalescence points as K grows.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegreeTooSmall, EmptyList, RootFindingFailure
+from .errors import DegreeTooSmall, EmptyList, InvariantViolation, RootFindingFailure
 from .roots import all_roots
 from .series import MonicPolynomial, Polynomial
 
-EXACT_SOURCE = "exact"
 # relative tolerance for grouping symmetry partners (+-lambda, conjugates)
 MODULUS_TIE_TOL = 1e-12
-
-
-def reconstruction_source(order: int) -> str:
-    return f"order-{order}"
-
-
-@dataclass(frozen=True)
-class ExceptionalPointEstimate:
-    """A coupling value where two eigenvalues coalesce.
-
-    source is "exact" for the true characteristic polynomial or "order-K"
-    for an order-K reconstruction; residual is |discriminant(lambda_value)|;
-    multiplicity counts the symmetry partners sharing this modulus.
-    """
-
-    lambda_value: complex
-    modulus: float
-    source: str
-    residual: float
-    multiplicity: int = 1
 
 
 def _det(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -98,21 +78,19 @@ def discriminant(poly: MonicPolynomial) -> Polynomial:
 
     disc = _det(bezout).trimmed()
     if disc.degree > degree_cap:
-        raise ValueError(
+        raise InvariantViolation(
             f"discriminant degree {disc.degree} exceeds cap {degree_cap}"
         )
     return disc
 
 
-def exceptional_points(
-    disc: Polynomial, source: str
-) -> list[ExceptionalPointEstimate]:
+def exceptional_points(disc: Polynomial) -> list[list[complex]]:
     """All coalescence couplings from a discriminant polynomial.
 
     Roots come from all_roots, whose final Newton steps are the only
-    refinement; they are grouped into modulus classes (symmetry partners)
-    and returned sorted by ascending modulus with ties broken by ascending
-    principal argument.
+    refinement.  They are returned as groups of symmetry partners sharing a
+    modulus (within MODULUS_TIE_TOL), groups in ascending modulus and the
+    members of each group in ascending principal argument.
     """
     if disc.degree < 1:
         raise DegreeTooSmall(
@@ -126,50 +104,30 @@ def exceptional_points(
             roots=result.roots,
             max_residual=result.max_residual,
         )
-    roots = sorted(result.roots, key=lambda z: (abs(z), cmath.phase(z)))
-
-    # group symmetry partners by modulus
-    classes: list[list[complex]] = []
-    for z in roots:
-        if classes and abs(abs(z) - abs(classes[-1][0])) <= MODULUS_TIE_TOL * max(
-            1.0, abs(classes[-1][0])
+    groups: list[list[complex]] = []
+    for z in sorted(result.roots, key=lambda z: (abs(z), cmath.phase(z))):
+        if groups and abs(abs(z) - abs(groups[-1][0])) <= MODULUS_TIE_TOL * max(
+            1.0, abs(groups[-1][0])
         ):
-            classes[-1].append(z)
+            groups[-1].append(z)
         else:
-            classes.append([z])
-
-    points = []
-    for group in classes:
-        for z in sorted(group, key=cmath.phase):
-            points.append(
-                ExceptionalPointEstimate(
-                    lambda_value=z,
-                    modulus=abs(z),
-                    source=source,
-                    residual=abs(disc.evaluate(z)),
-                    multiplicity=len(group),
-                )
-            )
-    return points
+            groups.append([z])
+    for group in groups:
+        group.sort(key=cmath.phase)
+    return groups
 
 
-def nearest_exceptional_point(
-    points: Sequence[ExceptionalPointEstimate],
-) -> ExceptionalPointEstimate:
-    """Minimum-modulus estimate, represented canonically.
+def nearest_exceptional_point(groups: Sequence[list[complex]]) -> complex:
+    """Minimum-modulus coupling, represented canonically.
 
-    Among symmetry partners sharing the smallest modulus (within the tie
-    tolerance) the representative is the one with principal argument in
-    [0, pi), i.e. the upper-half-plane or positive-real member.
+    groups is the output of exceptional_points, so groups[0] holds the
+    symmetry partners of smallest modulus.  The representative is the first
+    of them with principal argument in [0, pi), i.e. the upper-half-plane or
+    positive-real member, or groups[0][0] if there is none.
     """
-    if not points:
+    if not groups:
         raise EmptyList("no exceptional points to choose from")
-    smallest = min(p.modulus for p in points)
-    group = [
-        p
-        for p in points
-        if p.modulus - smallest <= MODULUS_TIE_TOL * max(1.0, smallest)
-    ]
-    canonical = [p for p in group if 0.0 <= cmath.phase(p.lambda_value) < cmath.pi]
-    pool = canonical if canonical else group
-    return min(pool, key=lambda p: cmath.phase(p.lambda_value))
+    for z in groups[0]:
+        if 0.0 <= cmath.phase(z) < cmath.pi:
+            return z
+    return groups[0][0]

@@ -53,6 +53,14 @@ class ZeroPolynomial(SecresError):
     """Root finding was asked for the identically-zero polynomial."""
 
 
+class InvariantViolation(SecresError):
+    """An internal numerical invariant does not hold for a validated model.
+
+    Raised for a non-finite coefficient and for a discriminant degree above
+    its bound: failures of the arithmetic, not of the input.
+    """
+
+
 class RootFindingFailure(SecresError):
     """The simultaneous root iteration failed to converge.
 

@@ -59,14 +59,6 @@ class MatrixModel:
             )
         return cls(dimension, h0, interaction, p_space)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "dimension": self.dimension,
-            "h0_diagonal": list(self.h0_diagonal),
-            "interaction": [[i, j, v] for i, j, v in self.interaction],
-            "p_space": list(self.p_space),
-        }
-
 
 def validate(model: MatrixModel) -> MatrixModel:
     """Check every structural invariant; return the model unchanged if valid.

@@ -42,7 +42,7 @@ def perturbation_series(
     """Order-K eigenvalue expansion for one unperturbed state.
 
     The model must already be validated (distinct diagonal energies).
-    A coefficient that overflows to a non-finite value raises ValueError.
+    A coefficient that overflows to a non-finite value raises InvariantViolation.
     """
     if not (1 <= state_index <= model.dimension):
         raise IndexOutOfRange(

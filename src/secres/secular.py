@@ -23,7 +23,7 @@ def reconstruct(series_list: Iterable[StateSeries]) -> MonicPolynomial:
     Every coefficient series p_j keeps the K+1 coefficients of the input
     series.  The result is symmetric in the inputs, so the accumulation
     order is immaterial.  A coefficient that overflows to a non-finite value
-    raises ValueError.
+    raises InvariantViolation.
     """
     factors = [s.energy_series for s in series_list]
     if not factors:

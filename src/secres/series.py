@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
+from .errors import InvariantViolation
+
 # tolerance for trailing-zero stripping, relative to the largest coefficient;
 # degree decisions feed the discriminant, so it is read in trimmed() only
 TRAILING_ZERO_TOL = 1e-12
@@ -98,10 +100,10 @@ class Polynomial:
         return Polynomial(tuple(coeffs))
 
     def checked_finite(self) -> "Polynomial":
-        """Self, or ValueError if a coefficient is infinite or NaN."""
+        """Self, or InvariantViolation if a coefficient is infinite or NaN."""
         for c in self.coefficients:
             if not isfinite(c):
-                raise ValueError(f"non-finite coefficient {c!r}")
+                raise InvariantViolation(f"non-finite coefficient {c!r}")
         return self
 
     def evaluate(self, lam: complex) -> complex:
@@ -110,9 +112,6 @@ class Polynomial:
         for c in reversed(self.coefficients):
             acc = acc * lam + c
         return acc
-
-    def __str__(self) -> str:
-        return format_coefficients(self.coefficients)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,16 @@ def hamiltonian_at(model, lam):
     return h
 
 
+def model_to_dict(model):
+    """The JSON-file representation of a model, as MatrixModel.from_dict reads it."""
+    return {
+        "dimension": model.dimension,
+        "h0_diagonal": list(model.h0_diagonal),
+        "interaction": [[i, j, v] for i, j, v in model.interaction],
+        "p_space": list(model.p_space),
+    }
+
+
 def quadratic_discriminant_value(p1, p2):
     """Discriminant of W^2 + p1 W + p2 at given coefficient values."""
     return p1 * p1 - 4.0 * p2

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from secres import (
-    EXACT_SOURCE,
     MatrixModel,
     characteristic_polynomial,
     discriminant,
@@ -23,7 +22,6 @@ from secres import (
     p_space_series,
     perturbation_series,
     reconstruct,
-    reconstruction_source,
     validate,
 )
 from secres.cli import main as cli_main
@@ -80,20 +78,19 @@ def test_criterion_1_exact_characteristic_polynomial(zheng3, capsys):
 def test_criterion_2_exact_exceptional_points(zheng3, capsys):
     with criterion(2, "exact exceptional points", budget=1.0):
         disc = discriminant(characteristic_polynomial(zheng3))
-        points = exceptional_points(disc, EXACT_SOURCE)
+        points = [z for group in exceptional_points(disc) for z in group]
 
-        imag_pair = [p for p in points if abs(p.lambda_value.real) < 1e-9]
+        imag_pair = [z for z in points if abs(z.real) < 1e-9]
         assert len(imag_pair) == 2
-        signs = sorted(np.sign(p.lambda_value.imag) for p in imag_pair)
+        signs = sorted(np.sign(z.imag) for z in imag_pair)
         assert signs == [-1.0, 1.0]
-        for p in imag_pair:
-            assert abs(p.modulus - EXACT_EP1_MODULUS) <= 1e-9
+        for z in imag_pair:
+            assert abs(abs(z) - EXACT_EP1_MODULUS) <= 1e-9
 
-        quartet = [p for p in points if abs(p.lambda_value.real) >= 1e-9]
+        quartet = [z for z in points if abs(z.real) >= 1e-9]
         assert len(quartet) == 4
         seen = set()
-        for p in quartet:
-            z = p.lambda_value
+        for z in quartet:
             assert abs(abs(z.real) - EXACT_EP2_RE) <= 1e-8
             assert abs(abs(z.imag) - EXACT_EP2_IM) <= 1e-8
             seen.add((z.real > 0, z.imag > 0))
@@ -106,10 +103,8 @@ def test_criterion_3_table_reproduction(zheng3, capsys):
     with criterion(3, "nearest-EP moduli for K=2,4,6,8,10", budget=5.0):
         for k, expected in TABLE_PRESENT.items():
             disc = discriminant(reconstruct(p_space_series(zheng3, k)))
-            nearest = nearest_exceptional_point(
-                exceptional_points(disc, reconstruction_source(k))
-            )
-            assert abs(nearest.modulus - expected) <= 1e-9, f"K={k}"
+            nearest = nearest_exceptional_point(exceptional_points(disc))
+            assert abs(abs(nearest) - expected) <= 1e-9, f"K={k}"
         assert cli_main(["table1"]) == 0
         capsys.readouterr()
 

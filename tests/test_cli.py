@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from secres import (
+    RootFindingFailure,
     characteristic_polynomial,
     discriminant,
     exceptional_points,
@@ -11,8 +12,8 @@ from secres import (
     p_space_series,
     perturbation_series,
     reconstruct,
-    reconstruction_source,
 )
+from secres import cli
 from secres.cli import SweepSpec, main
 
 from conftest import ZHENG3_PATH
@@ -198,6 +199,56 @@ def test_sweep_spec_invariants():
         SweepSpec(lambda_min=0.0, lambda_max=0.5, steps=10, orders=(-2,))
 
 
+def sweep_rows(capsys, tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        capsys, "sweep", "--model", MODEL, "--orders", "2,4,6", "--steps", "3",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    return [line.split(",") for line in out_path.read_text().splitlines()]
+
+
+def failing_at(solve, bad_lambda, order=None):
+    """solve, but raising RootFindingFailure at one coupling (and order)."""
+    def patched(poly, lam):
+        at_order = order is None or poly.coefficients[0].degree == order
+        if lam == bad_lambda and at_order:
+            raise RootFindingFailure("a, b")
+        return solve(poly, lam)
+    return patched
+
+
+def test_sweep_failure_marks_row(tmp_path, capsys, monkeypatch):
+    want = sweep_rows(capsys, tmp_path)
+    failing = failing_at(cli.eigenvalues_at, 0.25, order=4)
+    monkeypatch.setattr(cli, "eigenvalues_at", failing)
+    got = sweep_rows(capsys, tmp_path)
+    assert got[:2] + got[3:] == want[:2] + want[3:]
+    # lambda, exact_1..3 and eff_K2_1..2 stay; eff_K4 and eff_K6 are nan
+    assert float(got[2][0]) == 0.25 and want[2][-1] == ""
+    assert got[2] == want[2][:6] + ["nan"] * 4 + ["a; b"]
+
+
+def test_sweep_exact_failure_marks_row(tmp_path, capsys, monkeypatch):
+    want = sweep_rows(capsys, tmp_path)
+    failing = failing_at(cli.exact_eigenvalues_at, 0.25)
+    monkeypatch.setattr(cli, "exact_eigenvalues_at", failing)
+    got = sweep_rows(capsys, tmp_path)
+    assert got[:2] + got[3:] == want[:2] + want[3:]
+    assert got[2] == want[2][:1] + ["nan"] * 9 + ["a; b"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "--model", MODEL, "--order", "-1"),
+    ("ep", "--model", MODEL, "--orders", "2,x"),
+])
+def test_bad_order_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ValueError: ")
+
+
 def test_ep_report_matches_library(capsys, zheng3):
     code, out, _ = run(
         capsys, "ep", "--model", MODEL, "--orders", "2,4", "--exact"
@@ -205,21 +256,18 @@ def test_ep_report_matches_library(capsys, zheng3):
     assert code == 0
     report = json.loads(out)
 
-    exact_points = exceptional_points(
-        discriminant(characteristic_polynomial(zheng3)), "exact"
-    )
-    nearest = nearest_exceptional_point(exact_points)
-    assert float(report["exact"]["nearest_modulus"]) == nearest.modulus
-    assert len(report["exact"]["points"]) == len(exact_points)
+    groups = exceptional_points(discriminant(characteristic_polynomial(zheng3)))
+    nearest = nearest_exceptional_point(groups)
+    assert float(report["exact"]["nearest_modulus"]) == abs(nearest)
+    assert len(report["exact"]["points"]) == sum(len(g) for g in groups)
+    assert report["exact"]["nearest"]["multiplicity"] == len(groups[0])
 
     for entry in report["orders"]:
         k = entry["order"]
-        points = exceptional_points(
-            discriminant(reconstruct(p_space_series(zheng3, k))),
-            reconstruction_source(k),
-        )
-        best = nearest_exceptional_point(points)
-        assert float(entry["nearest_modulus"]) == best.modulus
+        disc = discriminant(reconstruct(p_space_series(zheng3, k)))
+        best = nearest_exceptional_point(exceptional_points(disc))
+        assert float(entry["nearest_modulus"]) == abs(best)
+        assert float(entry["nearest"]["residual"]) == abs(disc.evaluate(best))
         assert entry["nearest"]["source"] == f"order-{k}"
 
 
@@ -284,8 +332,9 @@ def test_table1_invariant_under_change_of_units(tmp_path, capsys, scale):
         assert got[label] == pytest.approx(value, rel=1e-10), label
 
 
-def test_reconstruct_overflow_exits_2(tmp_path, capsys):
-    # a 1e-200 gap makes the order-4 series overflow: a validation-class error
+def test_reconstruct_overflow_exits_3(tmp_path, capsys):
+    # a 1e-200 gap makes the order-4 series overflow: the model is valid, so
+    # this is a numerical failure
     path = tmp_path / "tiny_gap.json"
     path.write_text(json.dumps({
         "dimension": 2,
@@ -294,8 +343,8 @@ def test_reconstruct_overflow_exits_2(tmp_path, capsys):
         "p_space": [1],
     }))
     code, _, err = run(capsys, "reconstruct", "--model", str(path), "--order", "4")
-    assert code == 2
-    assert err == "error: ValueError: non-finite coefficient inf\n"
+    assert code == 3
+    assert err == "error: InvariantViolation: non-finite coefficient inf\n"
 
 
 def test_ep_nan_discriminant_roots_exit_3(tmp_path, capsys):

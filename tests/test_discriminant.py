@@ -5,9 +5,7 @@ import pytest
 
 from secres import (
     DegreeTooSmall,
-    EXACT_SOURCE,
     EmptyList,
-    ExceptionalPointEstimate,
     MatrixModel,
     MonicPolynomial,
     Polynomial,
@@ -19,7 +17,6 @@ from secres import (
     nearest_exceptional_point,
     p_space_series,
     reconstruct,
-    reconstruction_source,
     validate,
 )
 
@@ -43,6 +40,10 @@ TABLE_PRESENT = {
 
 def quadratic_poly(p1, p2):
     return MonicPolynomial((Polynomial(p1), Polynomial(p2)))
+
+
+def flat(groups):
+    return [z for group in groups for z in group]
 
 
 def test_order2_reconstruction_discriminant(zheng3):
@@ -127,69 +128,61 @@ def test_degree_too_small():
     with pytest.raises(DegreeTooSmall):
         discriminant(single)
     with pytest.raises(DegreeTooSmall):
-        exceptional_points(Polynomial((3.0,)), EXACT_SOURCE)
+        exceptional_points(Polynomial((3.0,)))
 
 
 def test_exact_exceptional_points(zheng3):
     disc = discriminant(characteristic_polynomial(zheng3))
-    points = exceptional_points(disc, EXACT_SOURCE)
-    assert len(points) == 6
     # sorted by modulus then phase, imaginary pair first
-    assert points[0].modulus == pytest.approx(EXACT_EP1_MODULUS, abs=1e-9)
-    assert points[1].modulus == pytest.approx(EXACT_EP1_MODULUS, abs=1e-9)
-    for p in points[:2]:
-        assert abs(p.lambda_value.real) < 1e-9
-        assert p.multiplicity == 2
+    pair, quartet = exceptional_points(disc)
+    assert len(pair) == 2
+    for z in pair:
+        assert abs(z) == pytest.approx(EXACT_EP1_MODULUS, abs=1e-9)
+        assert abs(z.real) < 1e-9
     # the four larger points are the +-lambda2, +-lambda2* quartet
-    quartet = points[2:]
-    assert all(p.multiplicity == 4 for p in quartet)
+    assert len(quartet) == 4
     expected = {
         (sign_re, sign_im)
         for sign_re in (-1, 1)
         for sign_im in (-1, 1)
     }
-    for p in quartet:
+    for z in quartet:
         key = (
-            1 if p.lambda_value.real > 0 else -1,
-            1 if p.lambda_value.imag > 0 else -1,
+            1 if z.real > 0 else -1,
+            1 if z.imag > 0 else -1,
         )
         assert key in expected
         expected.remove(key)
-        assert abs(abs(p.lambda_value.real) - EXACT_EP2.real) < 1e-8
-        assert abs(abs(p.lambda_value.imag) - EXACT_EP2.imag) < 1e-8
+        assert abs(abs(z.real) - EXACT_EP2.real) < 1e-8
+        assert abs(abs(z.imag) - EXACT_EP2.imag) < 1e-8
 
 
 def test_points_sorted_by_modulus_then_phase(zheng3):
     disc = discriminant(characteristic_polynomial(zheng3))
-    points = exceptional_points(disc, EXACT_SOURCE)
-    moduli = [p.modulus for p in points]
+    points = flat(exceptional_points(disc))
+    moduli = [abs(z) for z in points]
     assert moduli == sorted(moduli)
     for a, b in zip(points, points[1:]):
-        if abs(a.modulus - b.modulus) <= 1e-12 * max(1.0, a.modulus):
-            assert cmath.phase(a.lambda_value) <= cmath.phase(b.lambda_value)
+        if abs(abs(a) - abs(b)) <= 1e-12 * max(1.0, abs(a)):
+            assert cmath.phase(a) <= cmath.phase(b)
 
 
 def test_residuals_small_and_modulus_consistent(zheng3):
-    for source, disc in (
-        (EXACT_SOURCE, discriminant(characteristic_polynomial(zheng3))),
-        (
-            reconstruction_source(10),
-            discriminant(reconstruct(p_space_series(zheng3, 10))),
-        ),
+    for disc in (
+        discriminant(characteristic_polynomial(zheng3)),
+        discriminant(reconstruct(p_space_series(zheng3, 10))),
     ):
         bound = 1e-10 * max(abs(c) for c in disc.coefficients)
-        for p in exceptional_points(disc, source):
-            assert p.residual <= bound
-            assert abs(p.modulus - abs(p.lambda_value)) <= 1e-15 * max(
-                1.0, p.modulus
-            )
-            assert p.source == source
+        for group in exceptional_points(disc):
+            for z in group:
+                assert abs(disc.evaluate(z)) <= bound
+                # symmetry partners share one modulus
+                assert abs(abs(z) - abs(group[0])) <= 1e-12 * max(1.0, abs(group[0]))
 
 
 def test_conjugate_pairing(zheng3):
     disc = discriminant(characteristic_polynomial(zheng3))
-    points = exceptional_points(disc, EXACT_SOURCE)
-    values = [p.lambda_value for p in points]
+    values = flat(exceptional_points(disc))
     for z in values:
         if abs(z.imag) > 1e-10:
             assert min(abs(z.conjugate() - w) for w in values) < 1e-10
@@ -197,7 +190,7 @@ def test_conjugate_pairing(zheng3):
 
 def test_parity_pairing(zheng3):
     disc = discriminant(characteristic_polynomial(zheng3))
-    values = [p.lambda_value for p in exceptional_points(disc, EXACT_SOURCE)]
+    values = flat(exceptional_points(disc))
     for z in values:
         assert min(abs(-z - w) for w in values) < 1e-10
 
@@ -205,11 +198,11 @@ def test_parity_pairing(zheng3):
 def test_coalescence_at_reported_points(zheng3):
     cp = characteristic_polynomial(zheng3)
     disc = discriminant(cp)
-    for p in exceptional_points(disc, EXACT_SOURCE):
-        roots = exact_eigenvalues_at(cp, p.lambda_value)
+    for z in flat(exceptional_points(disc)):
+        roots = exact_eigenvalues_at(cp, z)
         gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
         assert min(gaps) <= 1e-5
-        roots_far = exact_eigenvalues_at(cp, 2.0 * p.lambda_value)
+        roots_far = exact_eigenvalues_at(cp, 2.0 * z)
         gaps_far = [
             abs(a - b) for i, a in enumerate(roots_far) for b in roots_far[i + 1:]
         ]
@@ -219,28 +212,22 @@ def test_coalescence_at_reported_points(zheng3):
 def test_coalescence_for_reconstruction(zheng3):
     poly = reconstruct(p_space_series(zheng3, 2))
     disc = discriminant(poly)
-    nearest = nearest_exceptional_point(
-        exceptional_points(disc, reconstruction_source(2))
-    )
-    roots = eigenvalues_at(poly, nearest.lambda_value)
+    nearest = nearest_exceptional_point(exceptional_points(disc))
+    roots = eigenvalues_at(poly, nearest)
     assert abs(roots[0] - roots[1]) <= 1e-5
-    roots_far = eigenvalues_at(poly, 2.0 * nearest.lambda_value)
+    roots_far = eigenvalues_at(poly, 2.0 * nearest)
     assert abs(roots_far[0] - roots_far[1]) > 1e-3
 
 
 def test_table_convergence(zheng3):
     exact_disc = discriminant(characteristic_polynomial(zheng3))
-    exact_modulus = nearest_exceptional_point(
-        exceptional_points(exact_disc, EXACT_SOURCE)
-    ).modulus
+    exact_modulus = abs(nearest_exceptional_point(exceptional_points(exact_disc)))
     previous_error = None
     for k, expected in TABLE_PRESENT.items():
         disc = discriminant(reconstruct(p_space_series(zheng3, k)))
-        nearest = nearest_exceptional_point(
-            exceptional_points(disc, reconstruction_source(k))
-        )
-        assert nearest.modulus == pytest.approx(expected, abs=1e-9), f"K={k}"
-        error = abs(nearest.modulus - exact_modulus)
+        modulus = abs(nearest_exceptional_point(exceptional_points(disc)))
+        assert modulus == pytest.approx(expected, abs=1e-9), f"K={k}"
+        error = abs(modulus - exact_modulus)
         if previous_error is not None:
             assert error <= previous_error
         previous_error = error
@@ -255,19 +242,16 @@ def test_reconstruction_discriminants_even(zheng3):
 
 def test_nearest_representative_in_upper_half_plane(zheng3):
     disc = discriminant(characteristic_polynomial(zheng3))
-    points = exceptional_points(disc, EXACT_SOURCE)
-    nearest = nearest_exceptional_point(points)
-    assert nearest.modulus == pytest.approx(EXACT_EP1_MODULUS, abs=1e-9)
-    assert nearest.multiplicity == 2
-    assert 0.0 <= cmath.phase(nearest.lambda_value) < cmath.pi
-    assert nearest.lambda_value.imag > 0
+    groups = exceptional_points(disc)
+    nearest = nearest_exceptional_point(groups)
+    assert abs(nearest) == pytest.approx(EXACT_EP1_MODULUS, abs=1e-9)
+    assert len(groups[0]) == 2
+    assert 0.0 <= cmath.phase(nearest) < cmath.pi
+    assert nearest.imag > 0
 
 
 def test_nearest_single_element():
-    point = ExceptionalPointEstimate(
-        lambda_value=-0.5j, modulus=0.5, source=EXACT_SOURCE, residual=0.0
-    )
-    assert nearest_exceptional_point([point]) is point
+    assert nearest_exceptional_point([[-0.5j]]) == -0.5j
 
 
 def test_nearest_empty_raises():
@@ -276,8 +260,7 @@ def test_nearest_empty_raises():
 
 
 def test_double_root_at_origin():
-    points = exceptional_points(Polynomial((0.0, 0.0, 4.0)), EXACT_SOURCE)
-    assert len(points) == 2
-    for p in points:
-        assert p.modulus < 1e-12
-        assert p.multiplicity == 2
+    [group] = exceptional_points(Polynomial((0.0, 0.0, 4.0)))
+    assert len(group) == 2
+    for z in group:
+        assert abs(z) < 1e-12

@@ -16,7 +16,7 @@ from secres import (
     validate,
 )
 
-from oracles import hamiltonian_at
+from oracles import hamiltonian_at, model_to_dict
 
 
 def model_with(**overrides) -> MatrixModel:
@@ -96,7 +96,7 @@ def test_wrong_h0_length_rejected():
 
 def test_load_model_round_trip(tmp_path, zheng3):
     path = tmp_path / "copy.json"
-    path.write_text(json.dumps(zheng3.to_dict()))
+    path.write_text(json.dumps(model_to_dict(zheng3)))
     assert load_model(path) == zheng3
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from secres import (
     IndexOutOfRange,
+    InvariantViolation,
     characteristic_polynomial,
     exact_eigenvalues_at,
     p_space_series,
@@ -64,7 +65,7 @@ def test_overflowing_series_rejected():
     # a 1e-200 gap makes the fourth-order coefficient overflow to inf
     model = validate(MatrixModel(2, (0.0, 1e-200), ((1, 2, 1.0),), (1,)))
     with np.errstate(all="ignore"), pytest.raises(
-        ValueError, match="non-finite coefficient"
+        InvariantViolation, match="non-finite coefficient"
     ):
         p_space_series(model, 4)
 

@@ -3,6 +3,7 @@ import pytest
 
 from secres import (
     EmptyList,
+    InvariantViolation,
     MatrixModel,
     OrderMismatch,
     Polynomial,
@@ -102,7 +103,7 @@ def test_reconstruct_mixed_orders_raises():
 def test_reconstruct_rejects_overflow():
     # the product of the two constants overflows to inf in p_2
     huge = Polynomial((1e200, 0.0))
-    with pytest.raises(ValueError, match="non-finite coefficient"):
+    with pytest.raises(InvariantViolation, match="non-finite coefficient"):
         reconstruct([StateSeries(1, huge), StateSeries(2, huge)])
 
 
