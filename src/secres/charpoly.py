@@ -8,9 +8,12 @@ the Faddeev-LeVerrier recursion, which works at any dimension.
 
 from __future__ import annotations
 
-from .errors import RootFindingFailure
+from typing import Sequence
+
+import numpy as np
+
 from .model import MatrixModel
-from .roots import all_roots, sort_roots
+from .roots import all_roots, roots_by_coupling
 from .series import MonicPolynomial, Polynomial
 
 
@@ -81,19 +84,14 @@ def characteristic_polynomial(model: MatrixModel) -> MonicPolynomial:
     return MonicPolynomial(tuple(c.trimmed() for c in coefficients))
 
 
-def exact_eigenvalues_at(cp: MonicPolynomial, lam: complex) -> list[complex]:
-    """All eigenvalues at one coupling value, in canonical order."""
-    ascending: list[complex] = [
-        cp.coefficients[cp.degree - 1 - i].evaluate(complex(lam))
-        for i in range(cp.degree)
-    ]
-    ascending.append(1.0 + 0.0j)
-    result = all_roots(ascending)
-    if not result.converged:
-        raise RootFindingFailure(
-            f"root iteration did not converge at lambda={lam!r} "
-            f"(max residual {result.max_residual:.3e})",
-            roots=result.roots,
-            max_residual=result.max_residual,
-        )
-    return sort_roots(result.roots)
+def exact_eigenvalues_at(cp: MonicPolynomial, lams: Sequence[complex]) -> list:
+    """All eigenvalues at each coupling of a grid, in canonical order.
+
+    One batch solve covers the grid; a coupling whose roots did not
+    converge gets its RootFindingFailure in place of the roots.
+    """
+    grid = np.asarray(lams)
+    ascending = [cp.coefficients[cp.degree - 1 - i].evaluate(grid)
+                 for i in range(cp.degree)]
+    ascending.append(np.ones(grid.shape))
+    return roots_by_coupling(all_roots(ascending), grid.tolist())

@@ -3,7 +3,8 @@
 The library returns plain roots and the records are built here: an EP
 record's modulus and residual come from its root and discriminant at output
 time, its multiplicity is the size of its symmetry group, and its source is
-"exact" or "order-K".  Each sweep row is computed and formatted in one step.
+"exact" or "order-K".  Sweep rows are formatted from one batch root solve
+per column.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure (a bad model or
 argument), 3 numerical failure (root finding, or an internal invariant such
@@ -93,28 +94,33 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
     """CSV of exact and resummed eigenvalues on the coupling grid.
 
-    A root-finding failure marks its row instead of aborting the sweep: the
-    cells not yet filled read nan and the message goes in the error column.
+    Each column (exact, then each order) is solved over the whole grid at
+    once.  A root-finding failure marks its row instead of aborting the
+    sweep: that column's cells and the later ones read nan and the message
+    goes in the error column.
     """
     cp = characteristic_polynomial(model)
-    polys = {k: reconstruct(p_space_series(model, k)) for k in spec.orders}
+    polys = [reconstruct(p_space_series(model, k)) for k in spec.orders]
     header = ["lambda"]
     header += [f"exact_{i}" for i in range(1, model.dimension + 1)]
     for k in spec.orders:
         header += [f"eff_K{k}_{i}" for i in range(1, len(model.p_space) + 1)]
     header.append("error")
-    lines = [",".join(header)]
     width = spec.lambda_max - spec.lambda_min
-    for index in range(spec.steps):
-        lam = spec.lambda_min + width * index / (spec.steps - 1)
+    lams = [spec.lambda_min + width * index / (spec.steps - 1)
+            for index in range(spec.steps)]
+    columns = [(exact_eigenvalues_at(cp, lams), lambda z: _sci(z.real))]
+    columns += [(eigenvalues_at(poly, lams), _csv_energy) for poly in polys]
+    lines = [",".join(header)]
+    for index, lam in enumerate(lams):
         cells = [_sci(lam)]
         error = ""
-        try:
-            cells += [_sci(z.real) for z in exact_eigenvalues_at(cp, lam)]
-            for k in spec.orders:
-                cells += [_csv_energy(z) for z in eigenvalues_at(polys[k], lam)]
-        except RootFindingFailure as exc:
-            error = str(exc).replace(",", ";")
+        for entries, cell in columns:
+            entry = entries[index]
+            if isinstance(entry, RootFindingFailure):
+                error = str(entry).replace(",", ";")
+                break
+            cells += [cell(z) for z in entry]
         cells += ["nan"] * (len(header) - 1 - len(cells))
         cells.append(error)
         lines.append(",".join(cells))

@@ -1,20 +1,23 @@
-"""All complex roots of a univariate polynomial via simultaneous iteration.
+"""All complex roots of polynomials via simultaneous iteration.
 
 Aberth-Ehrlich iteration on every root at once avoids deflation error and
-needs no external eigensolver.  Starting points sit on a circle of radius
-given by the Cauchy bound, rotated by an irrational angle so that no initial
-guess lands on a symmetry axis of the root set.  Multiple roots come back as
+needs no external eigensolver.  Each step updates all roots from the
+previous iterate (Aberth 1973; Bini 1996), so one numpy pass serves every
+root of a whole batch of polynomials of one degree, stored as the columns
+of a coefficient array.  Starting points sit on a circle of radius given by
+the Cauchy bound, rotated by an irrational angle so that no initial guess
+lands on a symmetry axis of the root set.  Multiple roots come back as
 near-coincident simple roots; clustering them is the caller's job.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ZeroPolynomial
+import numpy as np
+
+from .errors import RootFindingFailure, ZeroPolynomial
 
 DEFAULT_TOL = 1e-13
 MAX_ITERATIONS = 500
@@ -26,103 +29,151 @@ _ANGLE_OFFSET = 0.38196601125010515
 class RootSet:
     """Roots with multiplicity plus a residual-based quality estimate.
 
+    For one polynomial, roots is a tuple of complex; for a batch it is a
+    (degree, M) array whose column m holds the roots of polynomial m.
     max_residual is the largest Newton-correction magnitude |p(z)/p'(z)|
-    over the returned roots, which estimates the distance to the true root.
+    over the returned roots, which estimates the distance to the true root,
+    and converged holds when every column converged.  column_status gives
+    (converged, max residual) for each column.
     """
 
-    roots: tuple[complex, ...]
+    roots: tuple[complex, ...] | np.ndarray
     max_residual: float
     converged: bool = True
+    column_status: tuple[tuple[bool, float], ...] = ()
 
 
-def _strip_leading_zeros(coefficients: Sequence[complex]) -> list[complex]:
-    coeffs = [complex(c) for c in coefficients]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _horner_pair(coeffs: list[complex], z: complex) -> tuple[complex, complex]:
-    """Evaluate p(z) and p'(z) in one pass (coefficients ascending)."""
-    p = 0.0 + 0.0j
-    dp = 0.0 + 0.0j
-    for c in reversed(coeffs):
+def _horner_pair(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(z) and p'(z) in one pass; coeffs (M, degree+1) ascending, z (M, n)."""
+    p = np.zeros_like(z)
+    dp = np.zeros_like(z)
+    for k in range(coeffs.shape[1] - 1, -1, -1):
         dp = dp * z + p
-        p = p * z + c
+        p = p * z + coeffs[:, k:k + 1]
     return p, dp
 
 
-def all_roots(coefficients: Sequence[complex], tol: float = DEFAULT_TOL) -> RootSet:
+def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Iterate every row until its largest relative step is below
+    DEFAULT_TOL, it reaches a non-finite iterate, or MAX_ITERATIONS pass.
+
+    Rows are polynomials: coeffs is (M, degree+1) and the roots (M, degree).
+    A row that stops is frozen and leaves the working arrays.  The repulsion
+    sum runs along the last, contiguous axis, so numpy adds each row's terms
+    in the same order whatever M is, and a row's roots do not depend on the
+    other rows.  Returns the roots and the converged and non-finite flags.
+    """
+    rows, degree = coeffs.shape[0], coeffs.shape[1] - 1
+    radius = 1.0 + np.max(np.abs(coeffs[:, :-1] / coeffs[:, -1:]), axis=1)
+    circle = np.exp(2j * np.pi * (np.arange(degree) / degree + _ANGLE_OFFSET))
+    roots = radius[:, None] * circle
+    converged = np.zeros(rows, dtype=bool)
+    failed = np.zeros(rows, dtype=bool)
+
+    active = np.arange(rows)
+    z, c = roots, coeffs
+    for _ in range(MAX_ITERATIONS):
+        p, dp = _horner_pair(c, z)
+        newton = p / dp
+        diff = z[:, :, None] - z[:, None, :]
+        inverse = np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0)
+        denominator = 1.0 - newton * inverse.sum(axis=2)
+        step = np.where(denominator == 0, newton, newton / denominator)
+        # nudge off a critical point; keeps the iteration alive
+        nudge = DEFAULT_TOL * (1.0 + np.abs(z))
+        stalled = (dp == 0) & (p != 0)
+        step = np.where(stalled, -nudge, np.where(p == 0, 0.0, step))
+        z = z - step
+        relative = np.where(stalled, nudge, np.abs(step) / (1.0 + np.abs(z)))
+
+        bad = ~np.isfinite(z).all(axis=1)
+        done = relative.max(axis=1) < DEFAULT_TOL
+        stop = done | bad
+        if stop.any():
+            leaving = active[stop]
+            roots[leaving] = z[stop]
+            converged[leaving] = done[stop]
+            failed[leaving] = bad[stop]
+            keep = ~stop
+            active, z, c = active[keep], z[keep], c[keep]
+            if not active.size:
+                break
+    roots[active] = z
+    return roots, converged, failed
+
+
+def _polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Three Newton steps per root, then each row's largest |p/p'|."""
+    moving = np.ones(z.shape, dtype=bool)
+    for _ in range(3):
+        p, dp = _horner_pair(coeffs, z)
+        moving &= (dp != 0) & (p != 0)
+        z = np.where(moving, z - p / dp, z)
+    p, dp = _horner_pair(coeffs, z)
+    scale = np.where(dp != 0, np.abs(dp), np.abs(coeffs[:, -1:]))
+    residual = np.where(scale != 0, np.abs(p) / scale, np.abs(p))
+    return z, residual.max(axis=1)
+
+
+def all_roots(coefficients: Sequence) -> RootSet:
     """Find all roots of sum c_k x^k (ascending coefficients).
 
-    Iterates until the largest step is below tol*(1+|root|) or the iteration
-    budget runs out; each root then gets three Newton polishing steps.  A
-    non-converged iteration returns its best iterates with converged=False
-    rather than raising; one that reaches a non-finite iterate stops there,
-    with max_residual NaN.
+    Each c_k is a number, or an array of length M for a batch of M
+    polynomials that share a degree.  Leading coefficients that are zero in
+    every column are dropped.  Each column iterates until its largest step
+    is below DEFAULT_TOL*(1+|root|) or the iteration budget runs out; each
+    root then gets three Newton polishing steps.  A non-converged column
+    returns its best iterates with converged=False rather than raising; one
+    that reaches a non-finite iterate stops there, with residual NaN.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    coeffs = _strip_leading_zeros(coefficients)
-    if not coeffs:
+    coeffs = np.array(coefficients, dtype=complex)
+    single = coeffs.ndim == 1
+    # one polynomial per row from here on
+    coeffs = coeffs.reshape(len(coeffs), -1).T
+    nonzero = np.flatnonzero(coeffs.any(axis=0))
+    if not nonzero.size:
         raise ZeroPolynomial("cannot find roots of the zero polynomial")
-    degree = len(coeffs) - 1
+    coeffs = coeffs[:, : nonzero[-1] + 1]
+    rows, degree = coeffs.shape[0], coeffs.shape[1] - 1
+
     if degree == 0:
-        return RootSet(roots=(), max_residual=0.0)
+        roots = np.empty((rows, 0), dtype=complex)
+        converged = np.ones(rows, dtype=bool)
+        residuals = np.zeros(rows)
+    else:
+        with np.errstate(all="ignore"):
+            roots, converged, failed = _aberth(coeffs)
+            residuals = np.full(rows, np.nan)
+            finite = ~failed
+            roots[finite], residuals[finite] = _polish(coeffs[finite], roots[finite])
 
-    lead = coeffs[-1]
-    radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
-    roots = [
-        radius * cmath.exp(2j * cmath.pi * (k / degree + _ANGLE_OFFSET))
-        for k in range(degree)
-    ]
-
-    converged = False
-    for _ in range(MAX_ITERATIONS):
-        max_step = 0.0
-        for k in range(degree):
-            z = roots[k]
-            p, dp = _horner_pair(coeffs, z)
-            if p == 0:
-                continue
-            if dp == 0:
-                # nudge off a critical point; keeps the iteration alive
-                roots[k] = z + tol * (1.0 + abs(z))
-                max_step = max(max_step, tol * (1.0 + abs(z)))
-                continue
-            newton = p / dp
-            repulsion = sum(
-                1.0 / (z - roots[j]) for j in range(degree) if j != k and roots[j] != z
-            )
-            denominator = 1.0 - newton * repulsion
-            step = newton if denominator == 0 else newton / denominator
-            roots[k] = z - step
-            relative = abs(step) / (1.0 + abs(roots[k]))
-            if relative > max_step:
-                max_step = relative
-            elif relative != relative:
-                # NaN from a non-finite iterate, which max() would skip
-                return RootSet(tuple(roots), math.nan, converged=False)
-        if max_step < tol:
-            converged = True
-            break
-
-    for k in range(degree):
-        for _ in range(3):
-            p, dp = _horner_pair(coeffs, roots[k])
-            if dp == 0 or p == 0:
-                break
-            roots[k] = roots[k] - p / dp
-
-    max_residual = 0.0
-    for z in roots:
-        p, dp = _horner_pair(coeffs, z)
-        scale = abs(dp) if dp != 0 else abs(lead)
-        max_residual = max(max_residual, abs(p) / scale if scale else abs(p))
-
-    return RootSet(tuple(roots), max_residual, converged)
+    return RootSet(
+        roots=tuple(roots[0].tolist()) if single else roots.T,
+        max_residual=float(residuals.max()),
+        converged=bool(converged.all()),
+        column_status=tuple(zip(converged.tolist(), residuals.tolist())),
+    )
 
 
 def sort_roots(roots: Sequence[complex]) -> list[complex]:
     """Canonical eigenvalue ordering: by real part, ties by imaginary part."""
     return sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+def roots_by_coupling(result: RootSet, lams: Sequence[complex]) -> list:
+    """Per coupling of a batch solve: the roots in canonical order, or the
+    RootFindingFailure of a column that did not converge."""
+    entries: list = []
+    for lam, column, (converged, residual) in zip(
+        lams, result.roots.T.tolist(), result.column_status
+    ):
+        if converged:
+            entries.append(sort_roots(column))
+        else:
+            entries.append(RootFindingFailure(
+                f"root iteration did not converge at lambda={lam!r} "
+                f"(max residual {residual:.3e})",
+                roots=tuple(column),
+                max_residual=residual,
+            ))
+    return entries

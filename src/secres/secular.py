@@ -9,10 +9,12 @@ Hamiltonian matrix is ever constructed.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import EmptyList, OrderMismatch, RootFindingFailure
-from .roots import all_roots, sort_roots
+import numpy as np
+
+from .errors import EmptyList, OrderMismatch
+from .roots import all_roots, roots_by_coupling
 from .rspt import StateSeries
 from .series import MonicPolynomial, Polynomial
 
@@ -48,17 +50,14 @@ def reconstruct(series_list: Iterable[StateSeries]) -> MonicPolynomial:
     )
 
 
-def eigenvalues_at(poly: MonicPolynomial, lam: complex) -> list[complex]:
-    """All N roots in W at one coupling value, in canonical order."""
-    ascending = [poly.coefficients[poly.degree - 1 - i].evaluate(lam)
+def eigenvalues_at(poly: MonicPolynomial, lams: Sequence[complex]) -> list:
+    """All N roots in W at each coupling of a grid, in canonical order.
+
+    One batch solve covers the grid; a coupling whose roots did not
+    converge gets its RootFindingFailure in place of the roots.
+    """
+    grid = np.asarray(lams)
+    ascending = [poly.coefficients[poly.degree - 1 - i].evaluate(grid)
                  for i in range(poly.degree)]
-    ascending.append(1.0 + 0.0j)
-    result = all_roots(ascending)
-    if not result.converged:
-        raise RootFindingFailure(
-            f"root iteration did not converge at lambda={lam!r} "
-            f"(max residual {result.max_residual:.3e})",
-            roots=result.roots,
-            max_residual=result.max_residual,
-        )
-    return sort_roots(result.roots)
+    ascending.append(np.ones(grid.shape))
+    return roots_by_coupling(all_roots(ascending), grid.tolist())

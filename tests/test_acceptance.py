@@ -148,7 +148,7 @@ def test_criterion_7_no_crossing(zheng3):
     with criterion(7, "no eigenvalue crossing on (0, 0.5]"):
         cp = characteristic_polynomial(zheng3)
         for lam in np.linspace(0.5 / 101, 0.5, 101):
-            values = [z.real for z in exact_eigenvalues_at(cp, float(lam))]
+            values = [z.real for z in exact_eigenvalues_at(cp, [float(lam)])[0]]
             assert values[0] < values[1] < values[2]
             assert min(np.diff(values)) > 1e-4
 
@@ -156,11 +156,11 @@ def test_criterion_7_no_crossing(zheng3):
 def test_criterion_8_error_decay_at_small_coupling(zheng3):
     with criterion(8, "resummation error decay at lambda=0.05"):
         cp = characteristic_polynomial(zheng3)
-        exact = sorted(z.real for z in exact_eigenvalues_at(cp, 0.05))[:2]
+        exact = sorted(z.real for z in exact_eigenvalues_at(cp, [0.05])[0])[:2]
         errors = {}
         for k in (4, 6, 8, 10):
             poly = reconstruct(p_space_series(zheng3, k))
-            effective = eigenvalues_at(poly, 0.05)
+            effective = eigenvalues_at(poly, [0.05])[0]
             errors[k] = max(
                 abs(e.real - x) for e, x in zip(effective, exact)
             )
@@ -176,6 +176,6 @@ def test_criterion_9_oracle_equivalence():
             model = validate(MatrixModel(4, h0, interaction, (1, 2)))
             lam = float(rng.uniform(-1.0, 1.0))
             cp = characteristic_polynomial(model)
-            mine = np.array([z.real for z in exact_eigenvalues_at(cp, lam)])
+            mine = np.array([z.real for z in exact_eigenvalues_at(cp, [lam])[0]])
             reference = jacobi_eigenvalues(hamiltonian_at(model, lam).real)
             assert np.max(np.abs(mine - reference)) < 1e-10

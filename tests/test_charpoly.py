@@ -90,7 +90,7 @@ def test_toy_parity(zheng3):
 
 def test_exact_eigenvalues_at_zero(zheng3):
     cp = characteristic_polynomial(zheng3)
-    roots = exact_eigenvalues_at(cp, 0.0)
+    roots = exact_eigenvalues_at(cp, [0.0])[0]
     assert [z.real for z in roots] == pytest.approx([1.0, 1.1, 2.0], abs=1e-10)
     assert max(abs(z.imag) for z in roots) < 1e-10
 
@@ -98,7 +98,7 @@ def test_exact_eigenvalues_at_zero(zheng3):
 def test_no_crossing_on_real_axis(zheng3):
     cp = characteristic_polynomial(zheng3)
     for lam in np.linspace(0.005, 0.5, 50):
-        values = [z.real for z in exact_eigenvalues_at(cp, float(lam))]
+        values = [z.real for z in exact_eigenvalues_at(cp, [float(lam)])[0]]
         assert values[0] < values[1] < values[2]
         assert min(np.diff(values)) > 1e-4
 
@@ -110,7 +110,7 @@ def test_cross_validation_against_jacobi_oracle():
         model = validate(MatrixModel(4, h0, interaction, (1, 2)))
         lam = float(rng.uniform(-1.0, 1.0))
         cp = characteristic_polynomial(model)
-        mine = np.array([z.real for z in exact_eigenvalues_at(cp, lam)])
+        mine = np.array([z.real for z in exact_eigenvalues_at(cp, [lam])[0]])
         h = hamiltonian_at(model, lam).real
         reference = jacobi_eigenvalues(h)
         # the oracle itself is sane

@@ -1,13 +1,17 @@
+import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from secres import (
+    MatrixModel,
     RootFindingFailure,
     characteristic_polynomial,
     discriminant,
     exceptional_points,
+    load_model,
     nearest_exceptional_point,
     p_space_series,
     perturbation_series,
@@ -17,6 +21,7 @@ from secres import cli
 from secres.cli import SweepSpec, main
 
 from conftest import ZHENG3_PATH
+from oracles import hamiltonian_at, model_to_dict, random_model_data
 
 MODEL = str(ZHENG3_PATH)
 
@@ -199,6 +204,47 @@ def test_sweep_spec_invariants():
         SweepSpec(lambda_min=0.0, lambda_max=0.5, steps=10, orders=(-2,))
 
 
+def seeded_d6_model_path(tmp_path):
+    h0, interaction = random_model_data(np.random.default_rng(106), 6)
+    path = tmp_path / "d6.json"
+    path.write_text(json.dumps(model_to_dict(MatrixModel(6, h0, interaction, (1, 2, 3)))))
+    return path
+
+
+@pytest.mark.parametrize("name", ["zheng3", "d6"])
+def test_sweep_rows_match_dense_oracles(tmp_path, capsys, name):
+    """Every row of a 201-step sweep against eigvalsh and companion roots."""
+    path = ZHENG3_PATH if name == "zheng3" else seeded_d6_model_path(tmp_path)
+    model = load_model(path)
+    orders = (2, 4, 6, 8, 10)
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        capsys, "sweep", "--model", str(path), "--orders", "2,4,6,8,10",
+        "--steps", "201", "--out", str(out_path),
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    assert len(rows) == 201
+    polys = [reconstruct(p_space_series(model, k)) for k in orders]
+    dim, n = model.dimension, len(model.p_space)
+    for row in rows:
+        assert row[-1] == ""
+        lam = float(row[0])
+        reference = np.linalg.eigvalsh(hamiltonian_at(model, lam).real)
+        rho = np.max(np.abs(reference))
+        exact = np.array([float(x) for x in row[1:1 + dim]])
+        assert np.max(np.abs(exact - reference)) <= 1e-12 * (1.0 + rho)
+        for i, poly in enumerate(polys):
+            start = 1 + dim + i * n
+            mine = [complex(x) for x in row[start:start + n]]
+            companion = np.roots([1.0] + [p.evaluate(lam) for p in poly.coefficients])
+            best = min(
+                max(abs(a - b) / (1.0 + abs(b)) for a, b in zip(mine, perm))
+                for perm in itertools.permutations(companion)
+            )
+            assert best <= 1e-10, (lam, orders[i])
+
+
 def sweep_rows(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, _, _ = run(
@@ -210,12 +256,12 @@ def sweep_rows(capsys, tmp_path):
 
 
 def failing_at(solve, bad_lambda, order=None):
-    """solve, but raising RootFindingFailure at one coupling (and order)."""
-    def patched(poly, lam):
-        at_order = order is None or poly.coefficients[0].degree == order
-        if lam == bad_lambda and at_order:
-            raise RootFindingFailure("a, b")
-        return solve(poly, lam)
+    """solve, but with a RootFindingFailure at one coupling (and order)."""
+    def patched(poly, lams):
+        entries = solve(poly, lams)
+        if order is None or poly.coefficients[0].degree == order:
+            entries[lams.index(bad_lambda)] = RootFindingFailure("a, b")
+        return entries
     return patched
 
 

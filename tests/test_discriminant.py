@@ -199,10 +199,10 @@ def test_coalescence_at_reported_points(zheng3):
     cp = characteristic_polynomial(zheng3)
     disc = discriminant(cp)
     for z in flat(exceptional_points(disc)):
-        roots = exact_eigenvalues_at(cp, z)
+        roots = exact_eigenvalues_at(cp, [z])[0]
         gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
         assert min(gaps) <= 1e-5
-        roots_far = exact_eigenvalues_at(cp, 2.0 * z)
+        roots_far = exact_eigenvalues_at(cp, [2.0 * z])[0]
         gaps_far = [
             abs(a - b) for i, a in enumerate(roots_far) for b in roots_far[i + 1:]
         ]
@@ -213,9 +213,9 @@ def test_coalescence_for_reconstruction(zheng3):
     poly = reconstruct(p_space_series(zheng3, 2))
     disc = discriminant(poly)
     nearest = nearest_exceptional_point(exceptional_points(disc))
-    roots = eigenvalues_at(poly, nearest)
+    roots = eigenvalues_at(poly, [nearest])[0]
     assert abs(roots[0] - roots[1]) <= 1e-5
-    roots_far = eigenvalues_at(poly, 2.0 * nearest)
+    roots_far = eigenvalues_at(poly, [2.0 * nearest])[0]
     assert abs(roots_far[0] - roots_far[1]) > 1e-3
 
 

@@ -42,11 +42,6 @@ def test_constant_has_no_roots():
     assert result.max_residual == 0.0
 
 
-def test_tol_must_be_positive():
-    with pytest.raises(ValueError):
-        all_roots([1.0, 1.0], tol=0.0)
-
-
 def test_trailing_zero_stripping_sets_degree():
     result = all_roots([2.0, -3.0, 1.0, 0.0, 0.0])
     assert len(result.roots) == 2
@@ -137,6 +132,37 @@ def test_non_finite_iterate_is_not_converged():
     result = all_roots([1.0] + [0.0] * 79 + [1e-8])
     assert not result.converged
     assert np.isnan(result.max_residual)
+
+
+def test_batch_columns_match_solo_solves():
+    rng = np.random.default_rng(211)
+    coefficients = rng.uniform(-1, 1, (7, 1001)) + 1j * rng.uniform(-1, 1, (7, 1001))
+    coefficients[-1] = 1.0
+    batch = all_roots(coefficients)
+    assert batch.roots.shape == (6, 1001)
+    assert len(batch.column_status) == 1001
+    for m in range(1001):
+        solo = all_roots(coefficients[:, m])
+        assert solo.roots == tuple(batch.roots[:, m].tolist())
+        assert batch.column_status[m] == (solo.converged, solo.max_residual)
+
+
+def test_non_finite_column_does_not_spread():
+    overflowing = [1.0] + [0.0] * 79 + [1e-8]
+    rng = np.random.default_rng(223)
+    healthy = rng.uniform(-1, 1, (81, 3)) + 1j * rng.uniform(-1, 1, (81, 3))
+    healthy[-1] = 1.0
+    batch = np.column_stack([healthy[:, 0], overflowing, healthy[:, 1], healthy[:, 2]])
+    result = all_roots(batch)
+    assert not result.converged
+    assert np.isnan(result.max_residual)
+    assert result.column_status[1][0] is False
+    assert np.isnan(result.column_status[1][1])
+    for m in (0, 2, 3):
+        solo = all_roots(batch[:, m])
+        assert solo.converged
+        assert result.column_status[m] == (True, solo.max_residual)
+        assert solo.roots == tuple(result.roots[:, m].tolist())
 
 
 def test_sort_roots_convention():

@@ -60,3 +60,32 @@ def test_ep_exact_run_records_each_layer(tmp_path):
         "roots.all_roots",
     ):
         assert totals[layer]["calls"] >= 1, layer
+
+
+def test_sweep_run_records_one_root_solve_per_column(tmp_path):
+    """A batch RootSet keeps the summary the tracer's observer reads."""
+    tracer = load_tracer()
+    calls = []
+    observe = tracer._OBSERVERS["roots.all_roots"]
+
+    def recording(counters, args, result):
+        calls.append((len(result.roots), result.max_residual, result.converged))
+        observe(counters, args, result)
+
+    tracer._OBSERVERS["roots.all_roots"] = recording
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        code = cli.main([
+            "sweep", "--model", str(ZHENG3_PATH), "--orders", "2,4",
+            "--steps", "5", "--out", str(tmp_path / "sweep.csv"),
+        ])
+    finally:
+        recorder.remove()
+    assert code == 0
+    assert recorder.layer_totals()["roots.all_roots"]["calls"] == 3
+    assert len(calls) == 3
+    for degree, max_residual, converged in calls:
+        assert degree <= 3
+        assert type(max_residual) is float
+        assert converged is True
