@@ -31,7 +31,7 @@ from .model import (
     load_model,
     validate,
 )
-from .roots import RootSet, all_roots, sort_roots
+from .roots import RootSet, all_roots
 from .rspt import StateSeries, p_space_series, perturbation_series
 from .secular import eigenvalues_at, reconstruct
 from .series import MonicPolynomial, Polynomial, format_coefficients
@@ -71,6 +71,5 @@ __all__ = [
     "p_space_series",
     "perturbation_series",
     "reconstruct",
-    "sort_roots",
     "validate",
 ]

@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import RootFindingFailure
 from .model import MatrixModel
 from .roots import all_roots, roots_by_coupling
 from .series import MonicPolynomial, Polynomial
@@ -84,11 +85,15 @@ def characteristic_polynomial(model: MatrixModel) -> MonicPolynomial:
     return MonicPolynomial(tuple(c.trimmed() for c in coefficients))
 
 
-def exact_eigenvalues_at(cp: MonicPolynomial, lams: Sequence[complex]) -> list:
-    """All eigenvalues at each coupling of a grid, in canonical order.
+def exact_eigenvalues_at(
+    cp: MonicPolynomial, lams: Sequence[complex]
+) -> tuple[np.ndarray, dict[int, RootFindingFailure]]:
+    """All D eigenvalues at each coupling of a grid, one sorted row each.
 
-    One batch solve covers the grid; a coupling whose roots did not
-    converge gets its RootFindingFailure in place of the roots.
+    One batch solve covers the grid.  Returns the (len(lams), D) roots,
+    each row by real part, ties by imaginary part, and the
+    RootFindingFailure of each coupling whose roots did not converge,
+    keyed by its index in lams.
     """
     grid = np.asarray(lams)
     ascending = [cp.coefficients[cp.degree - 1 - i].evaluate(grid)

@@ -47,9 +47,11 @@ def _horner_pair(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndar
     """p(z) and p'(z) in one pass; coeffs (M, degree+1) ascending, z (M, n)."""
     p = np.zeros_like(z)
     dp = np.zeros_like(z)
-    for k in range(coeffs.shape[1] - 1, -1, -1):
-        dp = dp * z + p
-        p = p * z + coeffs[:, k:k + 1]
+    for c in coeffs.T[::-1]:
+        dp *= z
+        dp += p
+        p *= z
+        p += c[:, None]
     return p, dp
 
 
@@ -76,15 +78,28 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p, dp = _horner_pair(c, z)
         newton = p / dp
         diff = z[:, :, None] - z[:, None, :]
-        inverse = np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0)
+        coincide = diff == 0
+        inverse = np.divide(1.0, diff, out=diff)  # in place: the largest array
+        inverse[coincide] = 0.0
         denominator = 1.0 - newton * inverse.sum(axis=2)
-        step = np.where(denominator == 0, newton, newton / denominator)
+        step = newton / denominator
+        # each fix-up below is rare, so its mask is applied only when set
+        flat = denominator == 0
+        if flat.any():
+            step[flat] = newton[flat]
+        exact = p == 0
+        if exact.any():
+            step[exact] = 0.0
         # nudge off a critical point; keeps the iteration alive
-        nudge = DEFAULT_TOL * (1.0 + np.abs(z))
-        stalled = (dp == 0) & (p != 0)
-        step = np.where(stalled, -nudge, np.where(p == 0, 0.0, step))
+        stalled = (dp == 0) & ~exact
+        nudging = stalled.any()
+        if nudging:
+            nudge = DEFAULT_TOL * (1.0 + np.abs(z[stalled]))
+            step[stalled] = -nudge
         z = z - step
-        relative = np.where(stalled, nudge, np.abs(step) / (1.0 + np.abs(z)))
+        relative = np.abs(step) / (1.0 + np.abs(z))
+        if nudging:
+            relative[stalled] = nudge
 
         bad = ~np.isfinite(z).all(axis=1)
         done = relative.max(axis=1) < DEFAULT_TOL
@@ -155,25 +170,25 @@ def all_roots(coefficients: Sequence) -> RootSet:
     )
 
 
-def sort_roots(roots: Sequence[complex]) -> list[complex]:
-    """Canonical eigenvalue ordering: by real part, ties by imaginary part."""
-    return sorted(roots, key=lambda z: (z.real, z.imag))
+def roots_by_coupling(
+    result: RootSet, lams: Sequence[complex]
+) -> tuple[np.ndarray, dict[int, RootFindingFailure]]:
+    """The roots of a batch solve by coupling: an (M, degree) array whose
+    row m holds the roots at lams[m] by real part, ties by imaginary part,
+    and the RootFindingFailure of each coupling whose column did not
+    converge, keyed by its index.
 
-
-def roots_by_coupling(result: RootSet, lams: Sequence[complex]) -> list:
-    """Per coupling of a batch solve: the roots in canonical order, or the
-    RootFindingFailure of a column that did not converge."""
-    entries: list = []
-    for lam, column, (converged, residual) in zip(
-        lams, result.roots.T.tolist(), result.column_status
-    ):
-        if converged:
-            entries.append(sort_roots(column))
-        else:
-            entries.append(RootFindingFailure(
-                f"root iteration did not converge at lambda={lam!r} "
-                f"(max residual {residual:.3e})",
-                roots=tuple(column),
-                max_residual=residual,
-            ))
-    return entries
+    numpy orders complex values by real part, then imaginary part, and the
+    stable sort keeps equal keys (0.0 and -0.0 among them) in solver order.
+    """
+    failures = {
+        index: RootFindingFailure(
+            f"root iteration did not converge at lambda={lams[index]!r} "
+            f"(max residual {residual:.3e})",
+            roots=tuple(result.roots[:, index].tolist()),
+            max_residual=residual,
+        )
+        for index, (converged, residual) in enumerate(result.column_status)
+        if not converged
+    }
+    return np.sort(result.roots.T, axis=1, kind="stable"), failures

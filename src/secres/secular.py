@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyList, OrderMismatch
+from .errors import EmptyList, OrderMismatch, RootFindingFailure
 from .roots import all_roots, roots_by_coupling
 from .rspt import StateSeries
 from .series import MonicPolynomial, Polynomial
@@ -50,11 +50,15 @@ def reconstruct(series_list: Iterable[StateSeries]) -> MonicPolynomial:
     )
 
 
-def eigenvalues_at(poly: MonicPolynomial, lams: Sequence[complex]) -> list:
-    """All N roots in W at each coupling of a grid, in canonical order.
+def eigenvalues_at(
+    poly: MonicPolynomial, lams: Sequence[complex]
+) -> tuple[np.ndarray, dict[int, RootFindingFailure]]:
+    """All N roots in W at each coupling of a grid, one sorted row each.
 
-    One batch solve covers the grid; a coupling whose roots did not
-    converge gets its RootFindingFailure in place of the roots.
+    One batch solve covers the grid.  Returns the (len(lams), N) roots,
+    each row by real part, ties by imaginary part, and the
+    RootFindingFailure of each coupling whose roots did not converge,
+    keyed by its index in lams.
     """
     grid = np.asarray(lams)
     ascending = [poly.coefficients[poly.degree - 1 - i].evaluate(grid)

@@ -54,6 +54,11 @@ def poly_eval(coefficients, x):
     return acc
 
 
+def sort_roots(roots):
+    """Canonical eigenvalue ordering: by real part, ties by imaginary part."""
+    return sorted(roots, key=lambda z: (z.real, z.imag))
+
+
 def second_order_coefficient(h0, couplings, n):
     """Closed-form second-order energy shift sum_{m != n} V_nm^2 / (E_n - E_m).
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from secres import ZeroPolynomial, all_roots, sort_roots
+from secres import RootSet, ZeroPolynomial, all_roots
+from secres.roots import roots_by_coupling
 
-from oracles import poly_mul
+from oracles import poly_mul, sort_roots
 
 
 def test_factored_quadratic():
@@ -163,6 +164,33 @@ def test_non_finite_column_does_not_spread():
         assert solo.converged
         assert result.column_status[m] == (True, solo.max_residual)
         assert solo.roots == tuple(result.roots[:, m].tolist())
+
+
+def test_rows_sorted_like_sort_roots():
+    # few distinct parts force ties: equal real parts, conjugate pairs and
+    # roots that differ only in the sign of a zero part; rows of 40 are past
+    # the length up to which even numpy's unstable sort keeps ties in order
+    rng = np.random.default_rng(307)
+    parts = np.array([-1.0, -0.0, 0.0, 0.5])
+    columns = np.empty((40, 200), dtype=complex)
+    columns.real = rng.choice(parts, (40, 200))
+    columns.imag = rng.choice(parts, (40, 200))  # z + 1j*y would lose y = -0.0
+    status = tuple((m != 3, 2.5e-3 if m == 3 else 1e-15) for m in range(200))
+    lams = [0.25 * m for m in range(200)]
+    rows, failures = roots_by_coupling(RootSet(columns, 2.5e-3, False, status), lams)
+    assert rows.shape == (200, 40)
+    for m in range(200):
+        want = sort_roots(columns[:, m].tolist())
+        got = rows[m].tolist()
+        assert got == want
+        assert [(np.signbit(z.real), np.signbit(z.imag)) for z in got] == [
+            (np.signbit(z.real), np.signbit(z.imag)) for z in want
+        ]
+    assert list(failures) == [3]
+    assert str(failures[3]) == (
+        "root iteration did not converge at lambda=0.75 (max residual 2.500e-03)"
+    )
+    assert failures[3].roots == tuple(columns[:, 3].tolist())
 
 
 def test_sort_roots_convention():

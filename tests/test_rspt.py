@@ -116,7 +116,7 @@ def test_taylor_consistency_against_exact_roots(zheng3):
     cp = characteristic_polynomial(zheng3)
     errors = {}
     for lam in (0.01, 0.005):
-        exact = sorted(z.real for z in exact_eigenvalues_at(cp, [lam])[0])
+        exact = sorted(z.real for z in exact_eigenvalues_at(cp, [lam])[0][0])
         per_state = []
         for n in (1, 2, 3):
             value = perturbation_series(zheng3, n, 6).energy_series.evaluate(lam)
