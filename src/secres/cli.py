@@ -6,7 +6,8 @@ time, its multiplicity is the size of its symmetry group, and its source is
 "exact" or "order-K".  Each sweep column (exact, then each order) is one
 batch root solve, returned as sorted rows and formatted as one block of
 cells; a resummed root shows its imaginary part when it exceeds
-IMAG_REPORT_THRESHOLD * |z|, whatever the energy unit.
+IMAG_REPORT_THRESHOLD times the largest |z| at its coupling and order,
+whatever the energy unit.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure (a bad model or
 argument), 3 numerical failure (root finding, or an internal invariant such
@@ -46,7 +47,7 @@ TABLE1_ORDERS = (2, 4, 6, 8, 10)
 
 
 def _sci(x: float) -> str:
-    """17-significant-digit scientific notation (CSV cells, series tables)."""
+    """17-significant-digit scientific notation (series tables)."""
     return f"{x:.16e}"
 
 
@@ -70,9 +71,12 @@ def _block_rows(values: np.ndarray, suffixes: np.ndarray | str = "") -> list[str
 
 def _energy_rows(roots: np.ndarray) -> list[str]:
     """CSV rows of a block of resummed roots: each cell is the real part,
-    followed by the imaginary part where |Im z| > IMAG_REPORT_THRESHOLD * |z|,
-    so the choice does not depend on the energy unit."""
-    shown = np.abs(roots.imag) > IMAG_REPORT_THRESHOLD * np.abs(roots)
+    followed by the imaginary part where |Im z| > IMAG_REPORT_THRESHOLD times
+    the largest |z| of its row.  The choice does not depend on the energy
+    unit, and rounding noise on a root at or near zero is judged against the
+    row's scale, not against its own size."""
+    scale = np.abs(roots).max(axis=1, keepdims=True)
+    shown = np.abs(roots.imag) > IMAG_REPORT_THRESHOLD * scale
     imag = roots.imag[shown].tolist()
     suffixes = np.full(roots.shape, "", dtype=object)
     suffixes[shown] = ("%+.16ej\n" * len(imag) % tuple(imag)).split("\n")[:-1]

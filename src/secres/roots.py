@@ -83,23 +83,17 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         inverse[coincide] = 0.0
         denominator = 1.0 - newton * inverse.sum(axis=2)
         step = newton / denominator
-        # each fix-up below is rare, so its mask is applied only when set
         flat = denominator == 0
-        if flat.any():
-            step[flat] = newton[flat]
+        step[flat] = newton[flat]
         exact = p == 0
-        if exact.any():
-            step[exact] = 0.0
+        step[exact] = 0.0
         # nudge off a critical point; keeps the iteration alive
         stalled = (dp == 0) & ~exact
-        nudging = stalled.any()
-        if nudging:
-            nudge = DEFAULT_TOL * (1.0 + np.abs(z[stalled]))
-            step[stalled] = -nudge
+        nudge = DEFAULT_TOL * (1.0 + np.abs(z[stalled]))
+        step[stalled] = -nudge
         z = z - step
         relative = np.abs(step) / (1.0 + np.abs(z))
-        if nudging:
-            relative[stalled] = nudge
+        relative[stalled] = nudge
 
         bad = ~np.isfinite(z).all(axis=1)
         done = relative.max(axis=1) < DEFAULT_TOL

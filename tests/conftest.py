@@ -12,6 +12,14 @@ sys.path.insert(0, str(TESTS_DIR))
 ZHENG3_PATH = bundled_model_path()
 
 
+def roots_at(solve, poly, lam):
+    """The sorted roots at one coupling from eigenvalues_at or
+    exact_eigenvalues_at, as a list; fails unless the solve converged."""
+    roots, failures = solve(poly, [lam])
+    assert not failures, failures[0]
+    return roots[0].tolist()
+
+
 def pytest_collection_modifyitems(items):
     """A warning in any test here fails it, as if pytest ran with -W error.
 

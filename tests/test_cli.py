@@ -16,6 +16,7 @@ from secres import (
     p_space_series,
     perturbation_series,
     reconstruct,
+    validate,
 )
 from secres import cli
 from secres.cli import SweepSpec, main
@@ -416,6 +417,20 @@ def test_sweep_complex_cells_kept_in_tiny_units(tmp_path, capsys):
     kept = [g for want_row, got_row in zip(want, got)
             for w, g in zip(want_row, got_row) if w]
     assert len(kept) == 40 and all(kept)
+
+
+def test_sweep_zero_level_prints_real_at_zero_coupling():
+    # at lambda=0 the resummed roots are the P-space levels of H0; a level
+    # at 0.0 comes out as rounding noise around zero (|z| ~ 1e-92 on some of
+    # these models), with an imaginary part as large as its real part
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        h0, interaction = random_model_data(rng, 4)
+        h0 = tuple(e - h0[1] for e in h0)
+        model = validate(MatrixModel(4, h0, interaction, (2, 3)))
+        lines = cli.sweep_csv_lines(model, SweepSpec(0.0, 1.0, 11, (2, 4, 6)))
+        assert lines[1].split(",")[0] == "0.0000000000000000e+00"
+        assert not any(cell.endswith("j") for cell in lines[1].split(","))
 
 
 def test_reconstruct_overflow_exits_3(tmp_path, capsys):

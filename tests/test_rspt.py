@@ -10,6 +10,7 @@ from secres import (
     perturbation_series,
 )
 
+from conftest import roots_at
 from oracles import is_even, random_model_data, second_order_coefficient
 from secres import MatrixModel, validate
 
@@ -116,7 +117,7 @@ def test_taylor_consistency_against_exact_roots(zheng3):
     cp = characteristic_polynomial(zheng3)
     errors = {}
     for lam in (0.01, 0.005):
-        exact = sorted(z.real for z in exact_eigenvalues_at(cp, [lam])[0][0])
+        exact = sorted(z.real for z in roots_at(exact_eigenvalues_at, cp, lam))
         per_state = []
         for n in (1, 2, 3):
             value = perturbation_series(zheng3, n, 6).energy_series.evaluate(lam)

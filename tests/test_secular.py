@@ -16,6 +16,7 @@ from secres import (
     validate,
 )
 
+from conftest import roots_at
 from oracles import poly_mul, truncate
 
 
@@ -112,7 +113,7 @@ def test_vieta_sum_of_roots(zheng3):
     rng = np.random.default_rng(31)
     for _ in range(10):
         lam = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-        roots = eigenvalues_at(poly, [lam])[0][0]
+        roots = roots_at(eigenvalues_at, poly, lam)
         total = sum(roots)
         expected = -poly.coefficients[0].evaluate(lam)
         assert abs(total - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -120,16 +121,16 @@ def test_vieta_sum_of_roots(zheng3):
 
 def test_eigenvalues_at_zero(zheng3):
     poly = reconstruct(p_space_series(zheng3, 2))
-    roots = eigenvalues_at(poly, [0.0])[0][0]
+    roots = roots_at(eigenvalues_at, poly, 0.0)
     assert roots[0].real == pytest.approx(1.0, abs=1e-12)
     assert roots[1].real == pytest.approx(1.1, abs=1e-12)
 
 
 def test_eigenvalues_at_real_coupling_track_exact(zheng3):
     cp = characteristic_polynomial(zheng3)
-    exact = sorted(z.real for z in exact_eigenvalues_at(cp, [0.3])[0][0])
+    exact = sorted(z.real for z in roots_at(exact_eigenvalues_at, cp, 0.3))
     poly = reconstruct(p_space_series(zheng3, 6))
-    effective = eigenvalues_at(poly, [0.3])[0][0]
+    effective = roots_at(eigenvalues_at, poly, 0.3)
     for eff, ref in zip(effective, exact[:2]):
         assert abs(eff.real - ref) < 1e-3
         assert abs(eff.imag) < 1e-10
@@ -137,17 +138,17 @@ def test_eigenvalues_at_real_coupling_track_exact(zheng3):
 
 def test_eigenvalues_nearly_coalesce_at_order2_ep(zheng3):
     poly = reconstruct(p_space_series(zheng3, 2))
-    roots = eigenvalues_at(poly, [0.0514718626j])[0][0]
+    roots = roots_at(eigenvalues_at, poly, 0.0514718626j)
     assert abs(roots[0] - roots[1]) < 1e-5
 
 
 def test_monotone_convergence_at_small_coupling(zheng3):
     cp = characteristic_polynomial(zheng3)
-    exact = sorted(z.real for z in exact_eigenvalues_at(cp, [0.05])[0][0])[:2]
+    exact = sorted(z.real for z in roots_at(exact_eigenvalues_at, cp, 0.05))[:2]
     previous = None
     for k in (4, 6, 8, 10):
         poly = reconstruct(p_space_series(zheng3, k))
-        effective = eigenvalues_at(poly, [0.05])[0][0]
+        effective = roots_at(eigenvalues_at, poly, 0.05)
         error = max(abs(e.real - x) for e, x in zip(effective, exact))
         if previous is not None:
             assert error <= previous
