@@ -17,6 +17,7 @@ to the true coalescence points as K grows.
 from __future__ import annotations
 
 import cmath
+from functools import cache
 from typing import Sequence
 
 from .errors import DegreeTooSmall, EmptyList, InvariantViolation, RootFindingFailure
@@ -28,19 +29,29 @@ MODULUS_TIE_TOL = 1e-12
 
 
 def _det(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Cofactor determinant over the lambda-polynomial ring."""
+    """Cofactor determinant over the lambda-polynomial ring.
+
+    The expansion runs down the rows, so a minor is fixed by the columns it
+    keeps; each is computed once, N*2^N products instead of N!, in the
+    order the plain expansion would use.
+    """
     size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    total = Polynomial((0.0,))
-    for col in range(size):
-        entry = matrix[0][col]
-        if entry.is_zero():
-            continue
-        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
-        term = entry.mul(_det(minor))
-        total = total + (term.scale(-1.0) if col % 2 else term)
-    return total
+
+    @cache
+    def minor(columns: tuple[int, ...]) -> Polynomial:
+        row = matrix[size - len(columns)]
+        if len(columns) == 1:
+            return row[columns[0]]
+        total = Polynomial((0.0,))
+        for position, col in enumerate(columns):
+            entry = row[col]
+            if entry.is_zero():
+                continue
+            term = entry.mul(minor(columns[:position] + columns[position + 1:]))
+            total = total + (term.scale(-1.0) if position % 2 else term)
+        return total
+
+    return minor(tuple(range(size)))
 
 
 def discriminant(poly: MonicPolynomial) -> Polynomial:

@@ -8,11 +8,19 @@ of a coefficient array.  Starting points sit on a circle of radius given by
 the Cauchy bound, rotated by an irrational angle so that no initial guess
 lands on a symmetry axis of the root set.  Multiple roots come back as
 near-coincident simple roots; clustering them is the caller's job.
+
+p and p' come from Horner's rule on a stack of planes [p', p, c_n, ..., c_0],
+each shaped like the roots.  A window of two planes slides down the stack:
+one multiply by [z, z] and one add into the next window give p'z + p and
+pz + c_k together, so each coefficient costs two numpy calls, not four.
+These are the operations of the textbook loop, in its order and from the
+same two zero planes, so p and p' are bit-identical to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -33,18 +41,20 @@ class RootSet:
     (degree, M) array whose column m holds the roots of polynomial m.
     max_residual is the largest Newton-correction magnitude |p(z)/p'(z)|
     over the returned roots, which estimates the distance to the true root,
-    and converged holds when every column converged.  column_status gives
-    (converged, max residual) for each column.
+    and converged holds when every column converged.  column_converged and
+    column_residual give each column's flag and largest residual, as arrays
+    of length M.
     """
 
     roots: tuple[complex, ...] | np.ndarray
     max_residual: float
-    converged: bool = True
-    column_status: tuple[tuple[bool, float], ...] = ()
+    converged: bool
+    column_converged: np.ndarray
+    column_residual: np.ndarray
 
 
 def _horner_pair(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p(z) and p'(z) in one pass; coeffs (M, degree+1) ascending, z (M, n)."""
+    """p(z) and p'(z) by the textbook loop; coeffs (M, degree+1) ascending."""
     p = np.zeros_like(z)
     dp = np.zeros_like(z)
     for c in coeffs.T[::-1]:
@@ -53,6 +63,36 @@ def _horner_pair(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndar
         p *= z
         p += c[:, None]
     return p, dp
+
+
+def _horner(coeffs: np.ndarray, shape: tuple[int, int]):
+    """A function of z that returns p(z) and p'(z) for the rows of coeffs.
+
+    coeffs is (M, degree+1) ascending and z has the given (M, n) shape.  The
+    workspace is built once; p and p' come back as views into it, valid
+    until the next call.  A single point keeps the textbook loop: numpy
+    multiplies a one-element array in place without the fused multiply-add
+    of its vector loop, which the two-point window would take.
+    """
+    if shape == (1, 1):
+        return partial(_horner_pair, coeffs)
+    planes = np.empty((coeffs.shape[1] + 2, *shape), dtype=complex)
+    windows = [planes[k : k + 2] for k in range(len(planes) - 1)]
+    steps = list(zip(windows, windows[1:]))
+    descending = np.broadcast_to(coeffs.T[::-1, :, None], planes[2:].shape)
+    zz = np.empty((2, *shape), dtype=complex)
+    product = np.empty_like(zz)
+
+    def evaluate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        planes[:2] = 0.0
+        planes[2:] = descending
+        zz[:] = z
+        for window, following in steps:
+            np.multiply(window, zz, out=product)
+            np.add(product, following, out=following)
+        return planes[-1], planes[-2]
+
+    return evaluate
 
 
 def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,8 +114,9 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     active = np.arange(rows)
     z, c = roots, coeffs
+    horner = _horner(c, z.shape)
     for _ in range(MAX_ITERATIONS):
-        p, dp = _horner_pair(c, z)
+        p, dp = horner(z)
         newton = p / dp
         diff = z[:, :, None] - z[:, None, :]
         coincide = diff == 0
@@ -107,18 +148,20 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             active, z, c = active[keep], z[keep], c[keep]
             if not active.size:
                 break
+            horner = _horner(c, z.shape)
     roots[active] = z
     return roots, converged, failed
 
 
 def _polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Three Newton steps per root, then each row's largest |p/p'|."""
+    horner = _horner(coeffs, z.shape)
     moving = np.ones(z.shape, dtype=bool)
     for _ in range(3):
-        p, dp = _horner_pair(coeffs, z)
+        p, dp = horner(z)
         moving &= (dp != 0) & (p != 0)
         z = np.where(moving, z - p / dp, z)
-    p, dp = _horner_pair(coeffs, z)
+    p, dp = horner(z)
     scale = np.where(dp != 0, np.abs(dp), np.abs(coeffs[:, -1:]))
     residual = np.where(scale != 0, np.abs(p) / scale, np.abs(p))
     return z, residual.max(axis=1)
@@ -160,7 +203,8 @@ def all_roots(coefficients: Sequence) -> RootSet:
         roots=tuple(roots[0].tolist()) if single else roots.T,
         max_residual=float(residuals.max()),
         converged=bool(converged.all()),
-        column_status=tuple(zip(converged.tolist(), residuals.tolist())),
+        column_converged=converged,
+        column_residual=residuals,
     )
 
 
@@ -175,6 +219,7 @@ def roots_by_coupling(
     numpy orders complex values by real part, then imaginary part, and the
     stable sort keeps equal keys (0.0 and -0.0 among them) in solver order.
     """
+    failing = np.flatnonzero(~result.column_converged)
     failures = {
         index: RootFindingFailure(
             f"root iteration did not converge at lambda={lams[index]!r} "
@@ -182,7 +227,8 @@ def roots_by_coupling(
             roots=tuple(result.roots[:, index].tolist()),
             max_residual=residual,
         )
-        for index, (converged, residual) in enumerate(result.column_status)
-        if not converged
+        for index, residual in zip(
+            failing.tolist(), result.column_residual[failing].tolist()
+        )
     }
     return np.sort(result.roots.T, axis=1, kind="stable"), failures

@@ -64,14 +64,18 @@ def perturbation_series(
 
     corrections = np.zeros((order + 1, model.dimension))
     corrections[0, n] = 1.0
+    # row 0 holds V x^(k-1), row j the term e_j x^(k-j); numpy's reduce
+    # subtracts the rows in order, as a loop over j would
+    terms = np.empty((order + 1, model.dimension))
     # overflow is reported by checked_finite() below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, order + 1):
-            coupled = v @ corrections[k - 1]
-            energies[k] = coupled[n]
-            for j in range(1, k):
-                coupled -= energies[j] * corrections[k - j]
-            x_k = coupled / denom
+            terms[0] = v @ corrections[k - 1]
+            energies[k] = terms[0, n]
+            np.multiply(
+                energies[1:k, None], corrections[k - 1 : 0 : -1], out=terms[1:k]
+            )
+            x_k = np.subtract.reduce(terms[:k], axis=0) / denom
             x_k[n] = 0.0
             corrections[k] = x_k
 

@@ -5,6 +5,10 @@ are plain convolutions, eigenvalues come from Jacobi rotations, low-order
 perturbation coefficients from the closed-form sum, characteristic
 polynomials from cofactor expansion, and discriminants from the textbook
 quadratic/cubic formulas.
+
+The loop references at the end are the exception: they repeat a production
+computation in its plain loop form, operation for operation, so that tests
+can require the faster form to give the same bits.
 """
 
 from __future__ import annotations
@@ -187,3 +191,63 @@ def charpoly_cofactor(model):
         matrix[i - 1][j - 1] = matrix[j - 1][i - 1] = [[0.0, -value]]
     det = _bivariate_det(matrix)
     return [det[dim - j] for j in range(1, dim + 1)]
+
+
+def horner_pair(coeffs, z):
+    """p(z) and p'(z) by Horner's rule, one coefficient at a time, in place.
+
+    coeffs is (M, degree+1) ascending and z is (M, n).
+    """
+    p = np.zeros_like(z)
+    dp = np.zeros_like(z)
+    for c in coeffs.T[::-1]:
+        dp *= z
+        dp += p
+        p *= z
+        p += c[:, None]
+    return p, dp
+
+
+def rspt_energies(model, state_index, order):
+    """Rayleigh-Schrodinger energy coefficients by the double loop over k
+    and j, subtracting e_j x^(k-j) one term at a time."""
+    n = state_index - 1
+    h0 = np.asarray(model.h0_diagonal)
+    v = np.zeros((model.dimension, model.dimension))
+    for i, j, value in model.interaction:
+        v[i - 1, j - 1] = v[j - 1, i - 1] = value
+    energies = np.zeros(order + 1)
+    energies[0] = h0[n]
+    denom = h0[n] - h0
+    denom[n] = 1.0
+    corrections = np.zeros((order + 1, model.dimension))
+    corrections[0, n] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, order + 1):
+            coupled = v @ corrections[k - 1]
+            energies[k] = coupled[n]
+            for j in range(1, k):
+                coupled -= energies[j] * corrections[k - j]
+            x_k = coupled / denom
+            x_k[n] = 0.0
+            corrections[k] = x_k
+    return energies.tolist()
+
+
+def cofactor_det(matrix):
+    """Laplace expansion along the first row, recomputing every minor.
+
+    The entries are the package's lambda polynomials and supply the ring
+    operations, so only the order of the expansion is under test.
+    """
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = type(matrix[0][0])((0.0,))
+    for col in range(len(matrix)):
+        entry = matrix[0][col]
+        if entry.is_zero():
+            continue
+        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
+        term = entry.mul(cofactor_det(minor))
+        total = total + (term.scale(-1.0) if col % 2 else term)
+    return total

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from secres import (
 
 from conftest import roots_at
 from oracles import (
+    cofactor_det,
     cubic_discriminant_value,
     hamiltonian_at,
     quadratic_discriminant_value,
@@ -116,6 +118,33 @@ def test_exact_discriminant_matches_eigenvalue_gaps(dim):
         ])
         got = disc.evaluate(lam)
         assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def bits(poly):
+    return np.asarray(poly.coefficients).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+def test_cached_determinant_equals_plain_expansion(monkeypatch, dim):
+    # caching minors must not change a single operation or its order
+    module = importlib.import_module("secres.discriminant")
+    cached = module._det
+    matrices = []
+
+    def recording(matrix):
+        matrices.append(matrix)
+        return cached(matrix)
+
+    monkeypatch.setattr(module, "_det", recording)
+    rng = np.random.default_rng(100 + dim)
+    h0, interaction = random_model_data(rng, dim)
+    model = validate(MatrixModel(dim, h0, interaction, (1,)))
+    disc = discriminant(characteristic_polynomial(model))
+    (bezout,) = matrices
+    assert len(bezout) == dim
+    plain = cofactor_det(bezout)
+    assert bits(cached(bezout)) == bits(plain)
+    assert bits(disc) == bits(plain.trimmed())
 
 
 def test_exact_discriminant_is_even(zheng3):

@@ -1,10 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from secres import RootSet, ZeroPolynomial, all_roots
-from secres.roots import roots_by_coupling
+from secres.roots import _horner, roots_by_coupling
 
-from oracles import poly_mul, sort_roots
+from oracles import horner_pair, poly_mul, sort_roots
 
 
 def test_factored_quadratic():
@@ -141,11 +144,12 @@ def test_batch_columns_match_solo_solves():
     coefficients[-1] = 1.0
     batch = all_roots(coefficients)
     assert batch.roots.shape == (6, 1001)
-    assert len(batch.column_status) == 1001
+    assert batch.column_converged.shape == batch.column_residual.shape == (1001,)
     for m in range(1001):
         solo = all_roots(coefficients[:, m])
         assert solo.roots == tuple(batch.roots[:, m].tolist())
-        assert batch.column_status[m] == (solo.converged, solo.max_residual)
+        assert batch.column_converged[m] == solo.converged
+        assert batch.column_residual[m] == solo.max_residual
 
 
 def test_non_finite_column_does_not_spread():
@@ -157,12 +161,12 @@ def test_non_finite_column_does_not_spread():
     result = all_roots(batch)
     assert not result.converged
     assert np.isnan(result.max_residual)
-    assert result.column_status[1][0] is False
-    assert np.isnan(result.column_status[1][1])
+    assert result.column_converged.tolist() == [True, False, True, True]
+    assert np.isnan(result.column_residual[1])
     for m in (0, 2, 3):
         solo = all_roots(batch[:, m])
         assert solo.converged
-        assert result.column_status[m] == (True, solo.max_residual)
+        assert result.column_residual[m] == solo.max_residual
         assert solo.roots == tuple(result.roots[:, m].tolist())
 
 
@@ -175,9 +179,11 @@ def test_rows_sorted_like_sort_roots():
     columns = np.empty((40, 200), dtype=complex)
     columns.real = rng.choice(parts, (40, 200))
     columns.imag = rng.choice(parts, (40, 200))  # z + 1j*y would lose y = -0.0
-    status = tuple((m != 3, 2.5e-3 if m == 3 else 1e-15) for m in range(200))
+    converged = np.arange(200) != 3
+    residual = np.where(converged, 1e-15, 2.5e-3)
     lams = [0.25 * m for m in range(200)]
-    rows, failures = roots_by_coupling(RootSet(columns, 2.5e-3, False, status), lams)
+    result = RootSet(columns, 2.5e-3, False, converged, residual)
+    rows, failures = roots_by_coupling(result, lams)
     assert rows.shape == (200, 40)
     for m in range(200):
         want = sort_roots(columns[:, m].tolist())
@@ -196,3 +202,52 @@ def test_rows_sorted_like_sort_roots():
 def test_sort_roots_convention():
     values = [1.0 + 1.0j, 1.0 - 1.0j, 0.5 + 0.0j]
     assert sort_roots(values) == [0.5 + 0.0j, 1.0 - 1.0j, 1.0 + 1.0j]
+
+
+def _signed_parts(rng, shape, decades):
+    """Complex values whose parts have magnitudes 10^-decades to 10^decades,
+    with about one part in seven +0.0 or -0.0."""
+    parts = rng.standard_normal((2, *shape)) * 10.0 ** rng.uniform(
+        -decades, decades, (2, *shape)
+    )
+    zeros = rng.random((2, *shape)) < 0.15
+    parts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1001])
+def test_horner_workspace_matches_textbook_loop(rows):
+    # the window must reproduce the textbook loop bit for bit: signed zeros,
+    # overflow (parts up to 1e8) and the single-point case (rows 1, degree 1)
+    # included; parts of one size let a product's rounding show in the sum
+    rng = np.random.default_rng(rows)
+    degrees = range(1, 81) if rows < 1001 else range(1, 13)
+    for degree in degrees:
+        for decades in (0, 8):
+            coeffs = _signed_parts(rng, (rows, degree + 1), decades)
+            evaluate = _horner(coeffs, (rows, degree))
+            # later calls reuse the workspace; degree 1 has a single
+            # product per call, so it gets more points
+            for _ in range(50 if degree == 1 else 2):
+                z = _signed_parts(rng, (rows, degree), decades)
+                z[rng.random(z.shape) < 0.1] = 0.0
+                with np.errstate(all="ignore"):
+                    want = horner_pair(coeffs, z)
+                    got = evaluate(z)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_iteration_cap_golden():
+    # a degree-80 discriminant that runs into MAX_ITERATIONS; any change in
+    # rounding moves its unconverged iterates
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "aberth_iteration_cap.json").read_text()
+    )
+    result = all_roots([float.fromhex(c) for c in golden["coefficients"]])
+    assert golden["converged"] is False
+    assert result.converged is False
+    assert result.max_residual.hex() == golden["max_residual"]
+    assert [[z.real.hex(), z.imag.hex()] for z in result.roots] == golden["roots"]

@@ -11,7 +11,12 @@ from secres import (
 )
 
 from conftest import roots_at
-from oracles import is_even, random_model_data, second_order_coefficient
+from oracles import (
+    is_even,
+    random_model_data,
+    rspt_energies,
+    second_order_coefficient,
+)
 from secres import MatrixModel, validate
 
 TOY_COUPLINGS = {(1, 2): 1.0, (2, 3): 1.0}
@@ -129,3 +134,14 @@ def test_taylor_consistency_against_exact_roots(zheng3):
     for i in (1, 2):
         ratio = errors[0.01][i] / errors[0.005][i]
         assert 150.0 < ratio < 450.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+def test_series_bitwise_equal_to_double_loop(dim):
+    rng = np.random.default_rng(400 + dim)
+    h0, interaction = random_model_data(rng, dim)
+    model = validate(MatrixModel(dim, h0, interaction, (1,)))
+    for state in range(1, dim + 1):
+        got = perturbation_series(model, state, 40).energy_series.coefficients
+        want = rspt_energies(model, state, 40)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
