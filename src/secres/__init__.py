@@ -32,7 +32,7 @@ from .model import (
     validate,
 )
 from .roots import RootSet, all_roots
-from .rspt import StateSeries, p_space_series, perturbation_series
+from .rspt import p_space_series, perturbation_series
 from .secular import eigenvalues_at, reconstruct
 from .series import MonicPolynomial, Polynomial, format_coefficients
 
@@ -55,7 +55,6 @@ __all__ = [
     "RootFindingFailure",
     "RootSet",
     "SecresError",
-    "StateSeries",
     "ValidationError",
     "ZeroPolynomial",
     "all_roots",

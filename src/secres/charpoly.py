@@ -66,22 +66,16 @@ def characteristic_polynomial(model: MatrixModel) -> MonicPolynomial:
     aux = [[Polynomial((1.0,)) if i == j else zero for j in range(dim)]
            for i in range(dim)]
     coefficients = []
-    product = _poly_matmul(h, aux)
-    trace = product[0][0]
-    for d in range(1, dim):
-        trace = trace + product[d][d]
-    c = trace.scale(-1.0)
-    coefficients.append(c)
-    for k in range(2, dim + 1):
-        for d in range(dim):
-            for e in range(dim):
-                aux[d][e] = product[d][e] + (c if d == e else zero)
+    for k in range(1, dim + 1):
         product = _poly_matmul(h, aux)
         trace = product[0][0]
         for d in range(1, dim):
             trace = trace + product[d][d]
         c = trace.scale(-1.0 / k)
         coefficients.append(c)
+        if k < dim:
+            aux = [[product[d][e] + (c if d == e else zero) for e in range(dim)]
+                   for d in range(dim)]
     return MonicPolynomial(tuple(c.trimmed() for c in coefficients))
 
 
@@ -90,13 +84,9 @@ def exact_eigenvalues_at(
 ) -> tuple[np.ndarray, dict[int, RootFindingFailure]]:
     """All D eigenvalues at each coupling of a grid, one sorted row each.
 
-    One batch solve covers the grid.  Returns the (len(lams), D) roots,
-    each row by real part, ties by imaginary part, and the
-    RootFindingFailure of each coupling whose roots did not converge,
-    keyed by its index in lams.
+    The same computation as secular.eigenvalues_at, returning the same
+    pair; it is kept as a separate name so that perfbench's tracer times
+    the exact column as a layer of its own.
     """
     grid = np.asarray(lams)
-    ascending = [cp.coefficients[cp.degree - 1 - i].evaluate(grid)
-                 for i in range(cp.degree)]
-    ascending.append(np.ones(grid.shape))
-    return roots_by_coupling(all_roots(ascending), grid.tolist())
+    return roots_by_coupling(all_roots(cp.coefficients_at(grid)), grid.tolist())

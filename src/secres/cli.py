@@ -25,6 +25,7 @@ import json
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +45,6 @@ EXIT_NUMERICAL = 3
 
 IMAG_REPORT_THRESHOLD = 1e-10
 TABLE1_ORDERS = (2, 4, 6, 8, 10)
-
-
-def _sci(x: float) -> str:
-    """17-significant-digit scientific notation (series tables)."""
-    return f"{x:.16e}"
 
 
 def _json_float(x: float) -> str:
@@ -100,6 +96,12 @@ class SweepSpec:
             )
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        # bounds the grid formula's largest product, so every point is finite
+        if not isfinite((self.lambda_max - self.lambda_min) * (self.steps - 1)):
+            raise ValueError(
+                f"no finite grid from lambda_min ({self.lambda_min}) to "
+                f"lambda_max ({self.lambda_max}) in {self.steps} steps"
+            )
         for k in self.orders:
             if k < 0:
                 raise ValueError(f"orders must be >= 0, got {k}")
@@ -208,10 +210,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_series(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     lines = []
-    for state in p_space_series(model, args.order):
-        lines.append(f"state {state.state_index}")
-        for power, c in enumerate(state.energy_series.coefficients):
-            lines.append(f"  order {power:>3d}  {_sci(c)}")
+    for state, series in zip(model.p_space, p_space_series(model, args.order)):
+        lines.append(f"state {state}")
+        for power, c in enumerate(series.coefficients):
+            lines.append(f"  order {power:>3d}  {c:.16e}")
     _write_output("\n".join(lines), args.out)
     return EXIT_OK
 

@@ -14,13 +14,15 @@ each shaped like the roots.  A window of two planes slides down the stack:
 one multiply by [z, z] and one add into the next window give p'z + p and
 pz + c_k together, so each coefficient costs two numpy calls, not four.
 These are the operations of the textbook loop, in its order and from the
-same two zero planes, so p and p' are bit-identical to it.
+same two zero planes, so p and p' are bit-identical to that loop run over
+two or more points.  Every shape, a single point included, goes through
+numpy's vector loop, so a polynomial's roots are bit-identical whether it
+is solved alone or as a column of a batch, at every degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -53,29 +55,13 @@ class RootSet:
     column_residual: np.ndarray
 
 
-def _horner_pair(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p(z) and p'(z) by the textbook loop; coeffs (M, degree+1) ascending."""
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for c in coeffs.T[::-1]:
-        dp *= z
-        dp += p
-        p *= z
-        p += c[:, None]
-    return p, dp
-
-
 def _horner(coeffs: np.ndarray, shape: tuple[int, int]):
     """A function of z that returns p(z) and p'(z) for the rows of coeffs.
 
     coeffs is (M, degree+1) ascending and z has the given (M, n) shape.  The
     workspace is built once; p and p' come back as views into it, valid
-    until the next call.  A single point keeps the textbook loop: numpy
-    multiplies a one-element array in place without the fused multiply-add
-    of its vector loop, which the two-point window would take.
+    until the next call.
     """
-    if shape == (1, 1):
-        return partial(_horner_pair, coeffs)
     planes = np.empty((coeffs.shape[1] + 2, *shape), dtype=complex)
     windows = [planes[k : k + 2] for k in range(len(planes) - 1)]
     steps = list(zip(windows, windows[1:]))

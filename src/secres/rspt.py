@@ -19,8 +19,6 @@ resummation is built to handle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IndexOutOfRange
@@ -28,18 +26,10 @@ from .model import MatrixModel, interaction_matrix
 from .series import Polynomial
 
 
-@dataclass(frozen=True)
-class StateSeries:
-    """Energy expansion anchored at one basis state (1-based index)."""
-
-    state_index: int
-    energy_series: Polynomial
-
-
 def perturbation_series(
     model: MatrixModel, state_index: int, order: int
-) -> StateSeries:
-    """Order-K eigenvalue expansion for one unperturbed state.
+) -> Polynomial:
+    """Order-K eigenvalue expansion for one unperturbed state (1-based index).
 
     The model must already be validated (distinct diagonal energies).
     A coefficient that overflows to a non-finite value raises InvariantViolation.
@@ -79,10 +69,9 @@ def perturbation_series(
             x_k[n] = 0.0
             corrections[k] = x_k
 
-    series = Polynomial(tuple(energies.tolist())).checked_finite()
-    return StateSeries(state_index, series)
+    return Polynomial(tuple(energies.tolist())).checked_finite()
 
 
-def p_space_series(model: MatrixModel, order: int) -> list[StateSeries]:
+def p_space_series(model: MatrixModel, order: int) -> list[Polynomial]:
     """One energy series per model-space state, in model-space order."""
     return [perturbation_series(model, n, order) for n in model.p_space]

@@ -15,11 +15,10 @@ import numpy as np
 
 from .errors import EmptyList, OrderMismatch, RootFindingFailure
 from .roots import all_roots, roots_by_coupling
-from .rspt import StateSeries
 from .series import MonicPolynomial, Polynomial
 
 
-def reconstruct(series_list: Iterable[StateSeries]) -> MonicPolynomial:
+def reconstruct(series_list: Iterable[Polynomial]) -> MonicPolynomial:
     """Expand prod (W - E_n) with truncation at every multiplication.
 
     Every coefficient series p_j keeps the K+1 coefficients of the input
@@ -27,7 +26,7 @@ def reconstruct(series_list: Iterable[StateSeries]) -> MonicPolynomial:
     order is immaterial.  A coefficient that overflows to a non-finite value
     raises InvariantViolation.
     """
-    factors = [s.energy_series for s in series_list]
+    factors = list(series_list)
     if not factors:
         raise EmptyList("reconstruct needs at least one energy series")
     order = factors[0].degree
@@ -61,7 +60,4 @@ def eigenvalues_at(
     keyed by its index in lams.
     """
     grid = np.asarray(lams)
-    ascending = [poly.coefficients[poly.degree - 1 - i].evaluate(grid)
-                 for i in range(poly.degree)]
-    ascending.append(np.ones(grid.shape))
-    return roots_by_coupling(all_roots(ascending), grid.tolist())
+    return roots_by_coupling(all_roots(poly.coefficients_at(grid)), grid.tolist())

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
+import numpy as np
+
 from .errors import InvariantViolation
 
 # tolerance for trailing-zero stripping, relative to the largest coefficient;
@@ -128,6 +130,15 @@ class MonicPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients)
+
+    def coefficients_at(self, grid: np.ndarray) -> list[np.ndarray]:
+        """The ascending energy coefficients p_d, ..., p_1, 1 at every coupling
+        of a grid, one array shaped like it each.  An overflow reads inf or
+        nan, which the root finder reports as a failure at that coupling, so
+        numpy does not warn of it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = [p.evaluate(grid) for p in reversed(self.coefficients)]
+        return values + [np.ones(grid.shape)]
 
     def to_dict(self) -> dict:
         return {

@@ -125,14 +125,14 @@ def test_criterion_4_full_space_reconstruction_identity(zheng3):
 def test_criterion_5_second_order_spot_values(zheng3):
     with criterion(5, "second-order coefficients -10, 80/9, 10/9"):
         for state, expected in ((3, -10.0), (2, 80.0 / 9.0), (1, 10.0 / 9.0)):
-            series = perturbation_series(zheng3, state, 2).energy_series
+            series = perturbation_series(zheng3, state, 2)
             assert abs(series.coefficients[2] - expected) <= 1e-12
 
 
 def test_criterion_6_parity_suite(zheng3):
     with criterion(6, "parity of series and discriminants"):
         for state in (1, 2, 3):
-            series = perturbation_series(zheng3, state, 10).energy_series
+            series = perturbation_series(zheng3, state, 10)
             for c in series.coefficients[1::2]:
                 assert abs(c) < 1e-12
         discs = [discriminant(characteristic_polynomial(zheng3))]

@@ -18,6 +18,7 @@ from secres import (
     reconstruct,
     validate,
 )
+import secres
 from secres import cli
 from secres.cli import SweepSpec, main
 
@@ -31,6 +32,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_public_names_resolve():
+    for name in secres.__all__:
+        assert getattr(secres, name) is not None, name
 
 
 def test_validate_ok(capsys):
@@ -74,7 +80,7 @@ def test_series_output(capsys, zheng3):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "state 2"
-    engine_value = perturbation_series(zheng3, 2, 2).energy_series.coefficients[2]
+    engine_value = perturbation_series(zheng3, 2, 2).coefficients[2]
     assert f"{engine_value:.16e}" in lines[3]
     assert float(lines[3].split()[-1]) == engine_value
 
@@ -203,6 +209,38 @@ def test_sweep_spec_invariants():
         SweepSpec(lambda_min=0.5, lambda_max=0.0, steps=10, orders=(6,))
     with pytest.raises(ValueError):
         SweepSpec(lambda_min=0.0, lambda_max=0.5, steps=10, orders=(-2,))
+
+
+@pytest.mark.parametrize("bounds", [
+    ("--lambda-max", "inf"),
+    ("--lambda-min=-inf",),
+    ("--lambda-min=-1e308", "--lambda-max", "1e308"),
+    ("--lambda-max", "1e308", "--steps", "3"),
+])
+def test_bad_sweep_bounds_exit_2(capsys, bounds):
+    # non-finite bounds, or a grid whose width times (steps - 1) overflows
+    code, out, err = run(capsys, "sweep", "--model", MODEL, *bounds)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ValueError: no finite grid from lambda_min")
+
+
+def test_sweep_overflowing_coefficients_mark_rows(capsys):
+    # at lambda ~ 1e200 the coefficients overflow; those rows fail quietly
+    code, out, err = run(
+        capsys, "sweep", "--model", MODEL, "--orders", "2,10",
+        "--lambda-min", "0", "--lambda-max", "1e200", "--steps", "3",
+    )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 3
+    assert float(rows[0][0]) == 0.0 and rows[0][-1] == ""
+    assert "nan" not in rows[0]
+    for row in rows[1:]:
+        assert row[1:-1] == ["nan"] * 7
+        assert row[-1] == (
+            f"root iteration did not converge at lambda={float(row[0])!r} "
+            "(max residual nan)"
+        )
 
 
 def seeded_d6_model_path(tmp_path):
@@ -480,6 +518,7 @@ GOLDEN = Path(__file__).parent / "golden"
         ("table1.txt", ("table1",)),
         ("sweep.csv", ("sweep", "--model", MODEL, "--orders", "2,4,6", "--steps", "41",
                        "--lambda-min", "0", "--lambda-max", "2")),
+        ("series30.txt", ("series", "--model", MODEL, "--order", "30")),
     ],
 )
 def test_golden_output(capsys, name, argv):

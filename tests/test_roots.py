@@ -138,12 +138,14 @@ def test_non_finite_iterate_is_not_converged():
     assert np.isnan(result.max_residual)
 
 
-def test_batch_columns_match_solo_solves():
+@pytest.mark.parametrize("degree", [1, 6])
+def test_batch_columns_match_solo_solves(degree):
     rng = np.random.default_rng(211)
-    coefficients = rng.uniform(-1, 1, (7, 1001)) + 1j * rng.uniform(-1, 1, (7, 1001))
-    coefficients[-1] = 1.0
+    shape = (degree + 1, 1001)
+    # a leading coefficient other than 1 makes every Horner product round
+    coefficients = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
     batch = all_roots(coefficients)
-    assert batch.roots.shape == (6, 1001)
+    assert batch.roots.shape == (degree, 1001)
     assert batch.column_converged.shape == batch.column_residual.shape == (1001,)
     for m in range(1001):
         solo = all_roots(coefficients[:, m])
@@ -221,7 +223,10 @@ def _signed_parts(rng, shape, decades):
 def test_horner_workspace_matches_textbook_loop(rows):
     # the window must reproduce the textbook loop bit for bit: signed zeros,
     # overflow (parts up to 1e8) and the single-point case (rows 1, degree 1)
-    # included; parts of one size let a product's rounding show in the sum
+    # included; parts of one size let a product's rounding show in the sum.
+    # numpy multiplies a one-element array in place without the fused
+    # multiply-add of its vector loop, so a single row is stacked twice to
+    # run the reference in the vector loop, as every batch does
     rng = np.random.default_rng(rows)
     degrees = range(1, 81) if rows < 1001 else range(1, 13)
     for degree in degrees:
@@ -234,7 +239,11 @@ def test_horner_workspace_matches_textbook_loop(rows):
                 z = _signed_parts(rng, (rows, degree), decades)
                 z[rng.random(z.shape) < 0.1] = 0.0
                 with np.errstate(all="ignore"):
-                    want = horner_pair(coeffs, z)
+                    if rows == 1:
+                        twice = horner_pair(np.vstack([coeffs] * 2), np.vstack([z] * 2))
+                        want = [plane[:1] for plane in twice]
+                    else:
+                        want = horner_pair(coeffs, z)
                     got = evaluate(z)
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()

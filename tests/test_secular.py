@@ -7,7 +7,6 @@ from secres import (
     MatrixModel,
     OrderMismatch,
     Polynomial,
-    StateSeries,
     characteristic_polynomial,
     eigenvalues_at,
     exact_eigenvalues_at,
@@ -25,8 +24,8 @@ def test_reconstruct_two_states_matches_hand_expansion(zheng3):
     assert poly.degree == 2
     assert all(len(p.coefficients) == 3 for p in poly.coefficients)
     perturbed = p_space_series(zheng3, 2)
-    s_mid = perturbed[0].energy_series.coefficients
-    s_low = perturbed[1].energy_series.coefficients
+    s_mid = perturbed[0].coefficients
+    s_low = perturbed[1].coefficients
     # (W - a)(W - b) = W^2 - (a+b) W + ab, product truncated at the order
     p1_expected = [-(x + y) for x, y in zip(s_mid, s_low)]
     p2_expected = truncate(poly_mul(s_mid, s_low), 2)
@@ -44,8 +43,7 @@ def test_reconstruct_two_states_matches_hand_expansion(zheng3):
 
 
 def test_reconstruct_single_series():
-    s = StateSeries(1, Polynomial((1.0, 0.0, -10.0)))
-    poly = reconstruct([s])
+    poly = reconstruct([Polynomial((1.0, 0.0, -10.0))])
     assert poly.degree == 1
     assert poly.coefficients[0].coefficients == (-1.0, -0.0, 10.0)
 
@@ -95,17 +93,14 @@ def test_reconstruct_empty_raises():
 
 def test_reconstruct_mixed_orders_raises():
     with pytest.raises(OrderMismatch):
-        reconstruct([
-            StateSeries(1, Polynomial((0.0,) * 3)),
-            StateSeries(2, Polynomial((0.0,) * 4)),
-        ])
+        reconstruct([Polynomial((0.0,) * 3), Polynomial((0.0,) * 4)])
 
 
 def test_reconstruct_rejects_overflow():
     # the product of the two constants overflows to inf in p_2
     huge = Polynomial((1e200, 0.0))
     with pytest.raises(InvariantViolation, match="non-finite coefficient"):
-        reconstruct([StateSeries(1, huge), StateSeries(2, huge)])
+        reconstruct([huge, huge])
 
 
 def test_vieta_sum_of_roots(zheng3):
