@@ -3,7 +3,10 @@
 Coefficients are exact polynomials in lambda (not truncated series), so the
 discriminant of this polynomial locates the true eigenvalue-coalescence
 points independent of any expansion order.  The determinant is expanded by
-the Faddeev-LeVerrier recursion, which works at any dimension.
+the Faddeev-LeVerrier recursion, which works at any dimension.  H(lambda) =
+H0 + lambda*V is linear in lambda with a diagonal H0, so each lambda
+polynomial matrix of the recursion is held as a float array of shape
+(degree+1, D, D) whose slice l is its lambda^l coefficient matrix.
 """
 
 from __future__ import annotations
@@ -13,70 +16,42 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RootFindingFailure
-from .model import MatrixModel
+from .model import MatrixModel, interaction_matrix
 from .roots import all_roots, roots_by_coupling
 from .series import MonicPolynomial, Polynomial
-
-
-def _symbolic_hamiltonian(model: MatrixModel) -> list[list[Polynomial]]:
-    """H(lambda) with entries in the lambda-polynomial ring."""
-    dim = model.dimension
-    zero = Polynomial((0.0,))
-    matrix = [[zero for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        matrix[i][i] = Polynomial((model.h0_diagonal[i],))
-    for i, j, value in model.interaction:
-        entry = Polynomial((0.0, value))
-        matrix[i - 1][j - 1] = entry
-        matrix[j - 1][i - 1] = entry
-    return matrix
-
-
-def _poly_matmul(
-    a: list[list[Polynomial]], b: list[list[Polynomial]]
-) -> list[list[Polynomial]]:
-    dim = len(a)
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = Polynomial((0.0,))
-            for k in range(dim):
-                if a[i][k].is_zero() or b[k][j].is_zero():
-                    continue
-                acc = acc + a[i][k].mul(b[k][j])
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def characteristic_polynomial(model: MatrixModel) -> MonicPolynomial:
     """Exact characteristic polynomial of a validated model.
 
-    det(E*I - H) by the Faddeev-LeVerrier recursion: all ring operations
-    are additions and multiplications of lambda polynomials, and the only
-    divisions are by the integer step counter.  The lambda degree of p_j
-    never exceeds j because each off-diagonal coupling entry contributes at
-    most one factor of lambda per determinant term.
+    det(E*I - H) by the Faddeev-LeVerrier recursion: step k multiplies H by
+    the auxiliary matrix, whose coefficient stack has k slices, and the only
+    divisions are by the step counter k.  The lambda degree of p_j never
+    exceeds j because each coupling contributes one factor of lambda.
+
+    Each entry of H*aux adds its terms one at a time in ascending column m
+    of H, and the trace adds the diagonal in ascending order, as a term-by-
+    term product of lambda polynomials does; numpy's pairwise sums would
+    round differently from eight terms on.  A coefficient that overflows to
+    a non-finite value raises InvariantViolation.
     """
     dim = model.dimension
-    h = _symbolic_hamiltonian(model)
-    zero = Polynomial((0.0,))
-
-    aux = [[Polynomial((1.0,)) if i == j else zero for j in range(dim)]
-           for i in range(dim)]
+    h0 = np.asarray(model.h0_diagonal)
+    v = interaction_matrix(model)
+    diagonal = np.arange(dim)
+    aux = np.eye(dim)[None]
     coefficients = []
-    for k in range(1, dim + 1):
-        product = _poly_matmul(h, aux)
-        trace = product[0][0]
-        for d in range(1, dim):
-            trace = trace + product[d][d]
-        c = trace.scale(-1.0 / k)
-        coefficients.append(c)
-        if k < dim:
-            aux = [[product[d][e] + (c if d == e else zero) for e in range(dim)]
-                   for d in range(dim)]
-    return MonicPolynomial(tuple(c.trimmed() for c in coefficients))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, dim + 1):
+            product = np.zeros((k + 1, dim, dim))
+            for m in range(dim):
+                product[1:] += v[:, m, None] * aux[:, None, m]
+                product[:-1, m] += h0[m] * aux[:, m]
+            c = -1.0 / k * sum(product[:, d, d] for d in range(dim))
+            coefficients.append(Polynomial(tuple(c.tolist())))
+            product[:, diagonal, diagonal] += c[:, None]
+            aux = product
+    return MonicPolynomial(tuple(p.checked_finite().trimmed() for p in coefficients))
 
 
 def exact_eigenvalues_at(

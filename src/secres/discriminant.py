@@ -58,7 +58,8 @@ def discriminant(poly: MonicPolynomial) -> Polynomial:
     """Discriminant with respect to the energy variable, as a lambda polynomial.
 
     The coefficients p_j and the result are trimmed, since their degrees
-    decide the Bezout entries and the number of exceptional points.
+    decide the Bezout entries and the number of exceptional points.  A
+    result with a non-finite coefficient raises InvariantViolation.
     """
     degree = poly.degree
     if degree < 2:
@@ -87,7 +88,7 @@ def discriminant(poly: MonicPolynomial) -> Polynomial:
             row.append(entry)
         bezout.append(row)
 
-    disc = _det(bezout).trimmed()
+    disc = _det(bezout).checked_finite().trimmed()
     if disc.degree > degree_cap:
         raise InvariantViolation(
             f"discriminant degree {disc.degree} exceeds cap {degree_cap}"
@@ -109,9 +110,10 @@ def exceptional_points(disc: Polynomial) -> list[list[complex]]:
         )
     result = all_roots(disc.coefficients)
     if not result.converged:
+        reason = ("reached a non-finite value" if cmath.isnan(result.max_residual)
+                  else f"did not converge (max residual {result.max_residual:.3e})")
         raise RootFindingFailure(
-            f"discriminant root iteration did not converge "
-            f"(max residual {result.max_residual:.3e})",
+            f"discriminant root iteration {reason}",
             roots=result.roots,
             max_residual=result.max_residual,
         )

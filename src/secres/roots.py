@@ -200,7 +200,8 @@ def roots_by_coupling(
     """The roots of a batch solve by coupling: an (M, degree) array whose
     row m holds the roots at lams[m] by real part, ties by imaginary part,
     and the RootFindingFailure of each coupling whose column did not
-    converge, keyed by its index.
+    converge, keyed by its index.  A NaN residual means the column stopped
+    at a non-finite iterate, and its message says so.
 
     numpy orders complex values by real part, then imaginary part, and the
     stable sort keeps equal keys (0.0 and -0.0 among them) in solver order.
@@ -208,6 +209,8 @@ def roots_by_coupling(
     failing = np.flatnonzero(~result.column_converged)
     failures = {
         index: RootFindingFailure(
+            f"root iteration reached a non-finite value at lambda={lams[index]!r}"
+            if np.isnan(residual) else
             f"root iteration did not converge at lambda={lams[index]!r} "
             f"(max residual {residual:.3e})",
             roots=tuple(result.roots[:, index].tolist()),

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -117,3 +120,15 @@ def test_cross_validation_against_jacobi_oracle():
         # the oracle itself is sane
         assert np.max(np.abs(reference - np.linalg.eigvalsh(h))) < 1e-11
         assert np.max(np.abs(mine - reference)) < 1e-10
+
+
+def test_seeded_charpolys_match_golden_bits():
+    """float.hex of every p_j coefficient, signs of zero included, for 42
+    seeded random_model_data models at D = 1-9, some with a level at 0.0,
+    dropped couplings or a coupling of 0.0, as the polynomial-ring
+    Faddeev-LeVerrier recursion computed them."""
+    golden = Path(__file__).parent / "golden" / "charpoly_seeded.json"
+    for case in json.loads(golden.read_text()):
+        model = validate(MatrixModel.from_dict({**case, "p_space": [1]}))
+        got = characteristic_polynomial(model).coefficients
+        assert [[c.hex() for c in p.coefficients] for p in got] == case["coefficients"]

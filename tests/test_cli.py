@@ -238,8 +238,7 @@ def test_sweep_overflowing_coefficients_mark_rows(capsys):
     for row in rows[1:]:
         assert row[1:-1] == ["nan"] * 7
         assert row[-1] == (
-            f"root iteration did not converge at lambda={float(row[0])!r} "
-            "(max residual nan)"
+            f"root iteration reached a non-finite value at lambda={float(row[0])!r}"
         )
 
 
@@ -503,7 +502,44 @@ def test_ep_nan_discriminant_roots_exit_3(tmp_path, capsys):
     code, out, err = run(capsys, "ep", "--model", str(path), "--orders", "40")
     assert code == 3
     assert out == ""
-    assert "RootFindingFailure" in err
+    assert err == (
+        "error: RootFindingFailure: discriminant root iteration reached a "
+        "non-finite value\n"
+    )
+
+
+# every entry is +-1e150: p_3 and p_4 overflow to nan
+OVERFLOW_D4 = {
+    "dimension": 4,
+    "h0_diagonal": [1e150, 2e150, -1e150, 3e150],
+    "interaction": [[1, 2, 1e150], [2, 3, 1e150], [3, 4, 1e150], [1, 4, 1e150]],
+    "p_space": [1, 2],
+}
+# p_2 = -lambda^2 * 8e199^2 overflows to -inf, which trimmed() must not drop
+OVERFLOW_D2 = {
+    "dimension": 2, "h0_diagonal": [0.0, 1.5e200],
+    "interaction": [[1, 2, 8e199]], "p_space": [1],
+}
+# zheng3 times 1e80: finite p_j, but the discriminant overflows to nan
+OVERFLOW_DISC = {
+    "dimension": 3, "h0_diagonal": [2e80, 1.1e80, 1e80],
+    "interaction": [[1, 2, 1e80], [2, 3, 1e80]], "p_space": [2, 3],
+}
+
+
+@pytest.mark.parametrize("data, argv, value", [
+    (OVERFLOW_D4, ("charpoly",), "nan"),
+    (OVERFLOW_D4, ("ep", "--exact"), "nan"),
+    (OVERFLOW_D4, ("sweep",), "nan"),
+    (OVERFLOW_D2, ("charpoly",), "-inf"),
+    (OVERFLOW_DISC, ("ep", "--exact"), "nan"),
+])
+def test_non_finite_exact_coefficients_exit_3(tmp_path, capsys, data, argv, value):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, "--model", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: InvariantViolation: non-finite coefficient {value}\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"
