@@ -1,12 +1,11 @@
-"""Exact characteristic polynomial det(E*I - H(lambda)) over the coupling ring.
+"""Exact reference for H(lambda) = H0 + lambda*V, with no expansion order.
 
-Coefficients are exact polynomials in lambda (not truncated series), so the
-discriminant of this polynomial locates the true eigenvalue-coalescence
-points independent of any expansion order.  The determinant is expanded by
-the Faddeev-LeVerrier recursion, which works at any dimension.  H(lambda) =
-H0 + lambda*V is linear in lambda with a diagonal H0, so each lambda
-polynomial matrix of the recursion is held as a float array of shape
-(degree+1, D, D) whose slice l is its lambda^l coefficient matrix.
+det(E*I - H(lambda)) has exact polynomials in lambda as coefficients, so its
+discriminant locates the true eigenvalue-coalescence points.  Faddeev-LeVerrier
+expands it at any dimension, each lambda polynomial matrix held as a float
+(degree+1, D, D) array whose slice l is its lambda^l coefficient matrix.
+Eigenvalues on a real grid skip the polynomial: one batched eigvalsh of the
+real symmetric H(lambda) is backward stable where its roots lose digits.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RootFindingFailure
+from .errors import InvariantViolation
 from .model import MatrixModel, interaction_matrix
-from .roots import all_roots, roots_by_coupling
+from .roots import all_roots  # noqa: F401  perfbench/tracer.py wraps this binding
 from .series import MonicPolynomial, Polynomial
 
 
@@ -55,13 +54,17 @@ def characteristic_polynomial(model: MatrixModel) -> MonicPolynomial:
 
 
 def exact_eigenvalues_at(
-    cp: MonicPolynomial, lams: Sequence[complex]
-) -> tuple[np.ndarray, dict[int, RootFindingFailure]]:
-    """All D eigenvalues at each coupling of a grid, one sorted row each.
-
-    The same computation as secular.eigenvalues_at, returning the same
-    pair; it is kept as a separate name so that perfbench's tracer times
-    the exact column as a layer of its own.
-    """
-    grid = np.asarray(lams)
-    return roots_by_coupling(all_roots(cp.coefficients_at(grid)), grid.tolist())
+    model: MatrixModel, lams: Sequence[float]
+) -> tuple[np.ndarray, dict[int, InvariantViolation]]:
+    """Ascending eigenvalues of H(lambda) = diag(h0) + lambda*V at each real
+    coupling, by one batched eigvalsh.  Rows with a non-finite eigenvalue, nan
+    where the matrix overflows (LAPACK may reject it), key InvariantViolations."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = np.multiply.outer(np.asarray(lams, float), interaction_matrix(model))
+        stack += np.diag(model.h0_diagonal)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    eigenvalues = np.full(stack.shape[:2], np.nan)
+    eigenvalues[finite] = np.linalg.eigvalsh(stack[finite])
+    failing = np.flatnonzero(~np.isfinite(eigenvalues).all(axis=1)).tolist()
+    return eigenvalues, {index: InvariantViolation(
+        f"non-finite eigenvalue at lambda={lams[index]!r}") for index in failing}

@@ -3,11 +3,11 @@
 The library returns plain roots and the records are built here: an EP
 record's modulus and residual come from its root and discriminant at output
 time, its multiplicity is the size of its symmetry group, and its source is
-"exact" or "order-K".  Each sweep column (exact, then each order) is one
-batch root solve, returned as sorted rows and formatted as one block of
-cells; a resummed root shows its imaginary part when it exceeds
-IMAG_REPORT_THRESHOLD times the largest |z| at its coupling and order,
-whatever the energy unit.
+"exact" or "order-K".  A sweep's exact column is one batched eigvalsh of
+H(lambda) and each order's column one batch root solve, returned as sorted
+rows and formatted as one block of cells; a resummed root shows its
+imaginary part when it exceeds IMAG_REPORT_THRESHOLD times the largest |z|
+at its coupling and order, whatever the energy unit.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure (a bad model or
 argument), 3 numerical failure (root finding, or an internal invariant such
@@ -123,11 +123,9 @@ def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
     """CSV of exact and resummed eigenvalues on the coupling grid.
 
     Each column (exact, then each order) is solved over the whole grid at
-    once and formatted as one block of cells.  A root-finding failure marks
-    its row instead of aborting the sweep: that column's cells and the later
-    ones read nan and the message goes in the error column.
-    """
-    cp = characteristic_polynomial(model)
+    once and formatted as one block of cells.  A failure at one coupling
+    marks its row instead of aborting the sweep: that column's cells and the
+    later ones read nan and the message goes in the error column."""
     polys = [reconstruct(p_space_series(model, k)) for k in spec.orders]
     header = ["lambda"]
     header += [f"exact_{i}" for i in range(1, model.dimension + 1)]
@@ -137,17 +135,16 @@ def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
     width = spec.lambda_max - spec.lambda_min
     lams = [spec.lambda_min + width * index / (spec.steps - 1)
             for index in range(spec.steps)]
-    columns = [exact_eigenvalues_at(cp, lams)]
-    columns += [eigenvalues_at(poly, lams) for poly in polys]
+    columns = [(_block_rows, exact_eigenvalues_at(model, lams))]
+    columns += [(_energy_rows, eigenvalues_at(poly, lams)) for poly in polys]
     errors: dict[int, str] = {}  # row -> message of its first failing column
     parts = [_block_rows(np.array(lams)[:, None])]
-    for number, (roots, failures) in enumerate(columns):
-        rows = _energy_rows(roots) if number else _block_rows(roots.real)
+    for format_rows, (values, failures) in columns:
+        rows = format_rows(values)
         for index, failure in failures.items():
             errors.setdefault(index, str(failure).replace(",", ";"))
-        nan_row = ",".join(["nan"] * roots.shape[1])
         for index in errors:
-            rows[index] = nan_row
+            rows[index] = ",".join(["nan"] * values.shape[1])
         parts.append(rows)
     parts.append([errors.get(index, "") for index in range(len(lams))])
     return [",".join(header)] + [",".join(row) for row in zip(*parts)]

@@ -23,7 +23,7 @@ from secres import cli
 from secres.cli import SweepSpec, main
 
 from conftest import ZHENG3_PATH
-from oracles import hamiltonian_at, model_to_dict, random_model_data
+from oracles import hamiltonian_at, jacobi_eigenvalues, model_to_dict, random_model_data
 
 MODEL = str(ZHENG3_PATH)
 
@@ -224,8 +224,9 @@ def test_bad_sweep_bounds_exit_2(capsys, bounds):
     assert err.startswith("error: ValueError: no finite grid from lambda_min")
 
 
-def test_sweep_overflowing_coefficients_mark_rows(capsys):
-    # at lambda ~ 1e200 the coefficients overflow; those rows fail quietly
+def test_sweep_overflowing_coefficients_mark_rows(capsys, zheng3):
+    # at lambda ~ 1e200 the secular coefficients overflow and those rows fail
+    # quietly; H(lambda) itself is finite, so the exact cells stay
     code, out, err = run(
         capsys, "sweep", "--model", MODEL, "--orders", "2,10",
         "--lambda-min", "0", "--lambda-max", "1e200", "--steps", "3",
@@ -236,23 +237,41 @@ def test_sweep_overflowing_coefficients_mark_rows(capsys):
     assert float(rows[0][0]) == 0.0 and rows[0][-1] == ""
     assert "nan" not in rows[0]
     for row in rows[1:]:
-        assert row[1:-1] == ["nan"] * 7
+        lam = float(row[0])
+        exact = np.linalg.eigvalsh(hamiltonian_at(zheng3, lam).real)
+        assert row[1:4] == ["%.16e" % e for e in exact]
+        assert row[4:-1] == ["nan"] * 4
         assert row[-1] == (
-            f"root iteration reached a non-finite value at lambda={float(row[0])!r}"
+            f"root iteration reached a non-finite value at lambda={lam!r}"
         )
 
 
-def seeded_d6_model_path(tmp_path):
-    h0, interaction = random_model_data(np.random.default_rng(106), 6)
-    path = tmp_path / "d6.json"
-    path.write_text(json.dumps(model_to_dict(MatrixModel(6, h0, interaction, (1, 2, 3)))))
+def test_sweep_overflowing_hamiltonian_marks_row(tmp_path, capsys):
+    # with |V_ij| = 2, lambda*V overflows at lambda = 1e308: that row's exact
+    # cells and every later one read nan, and the message names lambda
+    code, out, err = run(
+        capsys, "sweep", "--model", scaled_model(tmp_path, 2.0), "--orders", "2",
+        "--lambda-min", "0", "--lambda-max", "1e308", "--steps", "2",
+    )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows[0][-1] == "" and "nan" not in rows[0]
+    assert rows[1] == ["1.0000000000000000e+308"] + ["nan"] * 5 + [
+        "non-finite eigenvalue at lambda=1e+308"
+    ]
+
+
+def seeded_model_path(tmp_path, dim, p_space):
+    h0, interaction = random_model_data(np.random.default_rng(100 + dim), dim)
+    path = tmp_path / f"d{dim}.json"
+    path.write_text(json.dumps(model_to_dict(MatrixModel(dim, h0, interaction, p_space))))
     return path
 
 
 @pytest.mark.parametrize("name", ["zheng3", "d6"])
 def test_sweep_rows_match_dense_oracles(tmp_path, capsys, name):
     """Every row of a 201-step sweep against eigvalsh and companion roots."""
-    path = ZHENG3_PATH if name == "zheng3" else seeded_d6_model_path(tmp_path)
+    path = ZHENG3_PATH if name == "zheng3" else seeded_model_path(tmp_path, 6, (1, 2, 3))
     model = load_model(path)
     orders = (2, 4, 6, 8, 10)
     out_path = tmp_path / "sweep.csv"
@@ -281,6 +300,21 @@ def test_sweep_rows_match_dense_oracles(tmp_path, capsys, name):
                 for perm in itertools.permutations(companion)
             )
             assert best <= 1e-10, (lam, orders[i])
+
+
+def test_sweep_exact_cells_at_dimension_10(tmp_path, capsys):
+    # the charpoly's roots failed 40 of these 101 rows
+    path = seeded_model_path(tmp_path, 10, (1, 2))
+    model = load_model(path)
+    code, out, err = run(capsys, "sweep", "--model", str(path))
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 101
+    for row in rows:
+        assert row[-1] == ""
+        reference = jacobi_eigenvalues(hamiltonian_at(model, float(row[0])).real)
+        exact = np.array([float(x) for x in row[1:11]])
+        assert np.max(np.abs(exact - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 def sweep_rows(capsys, tmp_path):
@@ -421,15 +455,19 @@ def test_table1_invariant_under_change_of_units(tmp_path, capsys, scale):
         assert got[label] == pytest.approx(value, rel=1e-10), label
 
 
-def sweep_cell_kinds(capsys, model):
-    """Per data row, which cells print an imaginary part."""
+def sweep_cells(capsys, model):
+    """The data rows of a 41-step sweep on [0, 2], split into cells."""
     code, out, err = run(
         capsys, "sweep", "--model", model, "--orders", "2,4,6", "--steps", "41",
         "--lambda-min", "0", "--lambda-max", "2",
     )
     assert code == 0 and err == ""
-    return [[cell.endswith("j") for cell in line.split(",")]
-            for line in out.splitlines()[1:]]
+    return [line.split(",") for line in out.splitlines()[1:]]
+
+
+def sweep_cell_kinds(capsys, model):
+    """Per data row, which cells print an imaginary part."""
+    return [[cell.endswith("j") for cell in row] for row in sweep_cells(capsys, model)]
 
 
 @pytest.mark.parametrize("scale", [
@@ -445,6 +483,19 @@ def test_sweep_cell_kinds_invariant_under_change_of_units(tmp_path, capsys, scal
     want = sweep_cell_kinds(capsys, MODEL)
     assert sum(map(sum, want)) == 40
     assert sweep_cell_kinds(capsys, scaled_model(tmp_path, scale)) == want
+
+
+def sweep_exact_cells(capsys, model):
+    return np.array([[float(x) for x in row[1:4]] for row in sweep_cells(capsys, model)])
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e40])
+def test_sweep_exact_cells_scale_with_units(tmp_path, capsys, scale):
+    # H -> aH scales every eigenvalue by a, in tiny units and huge ones
+    want = scale * sweep_exact_cells(capsys, MODEL)
+    got = sweep_exact_cells(capsys, scaled_model(tmp_path, scale))
+    bound = 1e-14 * np.max(np.abs(want), axis=1)
+    assert (np.max(np.abs(got - want), axis=1) <= bound).all()
 
 
 def test_sweep_complex_cells_kept_in_tiny_units(tmp_path, capsys):
@@ -530,7 +581,7 @@ OVERFLOW_DISC = {
 @pytest.mark.parametrize("data, argv, value", [
     (OVERFLOW_D4, ("charpoly",), "nan"),
     (OVERFLOW_D4, ("ep", "--exact"), "nan"),
-    (OVERFLOW_D4, ("sweep",), "nan"),
+    (OVERFLOW_D4, ("table1",), "nan"),
     (OVERFLOW_D2, ("charpoly",), "-inf"),
     (OVERFLOW_DISC, ("ep", "--exact"), "nan"),
 ])
@@ -540,6 +591,19 @@ def test_non_finite_exact_coefficients_exit_3(tmp_path, capsys, data, argv, valu
     code, out, err = run(capsys, *argv, "--model", str(path))
     assert (code, out) == (3, "")
     assert err == f"error: InvariantViolation: non-finite coefficient {value}\n"
+
+
+def test_sweep_exact_cells_need_no_charpoly(tmp_path, capsys):
+    # the charpoly of this model overflows, H(lambda) on the grid does not
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(OVERFLOW_D4))
+    model = load_model(path)
+    code, out, err = run(capsys, "sweep", "--model", str(path), "--steps", "3")
+    assert code == 0 and err == ""
+    for line in out.splitlines()[1:]:
+        row = line.split(",")
+        exact = np.linalg.eigvalsh(hamiltonian_at(model, float(row[0])).real)
+        assert row[1:5] == ["%.16e" % e for e in exact]
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -13,7 +13,6 @@ from secres import (
     characteristic_polynomial,
     discriminant,
     eigenvalues_at,
-    exact_eigenvalues_at,
     exceptional_points,
     nearest_exceptional_point,
     p_space_series,
@@ -21,7 +20,7 @@ from secres import (
     validate,
 )
 
-from conftest import roots_at
+from conftest import charpoly_roots_at, roots_at
 from oracles import (
     cofactor_det,
     cubic_discriminant_value,
@@ -229,10 +228,10 @@ def test_coalescence_at_reported_points(zheng3):
     cp = characteristic_polynomial(zheng3)
     disc = discriminant(cp)
     for z in flat(exceptional_points(disc)):
-        roots = roots_at(exact_eigenvalues_at, cp, z)
+        roots = charpoly_roots_at(cp, z)
         gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
         assert min(gaps) <= 1e-5
-        roots_far = roots_at(exact_eigenvalues_at, cp, 2.0 * z)
+        roots_far = charpoly_roots_at(cp, 2.0 * z)
         gaps_far = [
             abs(a - b) for i, a in enumerate(roots_far) for b in roots_far[i + 1:]
         ]

@@ -63,7 +63,9 @@ def test_ep_exact_run_records_each_layer(tmp_path):
 
 
 def test_sweep_run_records_one_root_solve_per_column(tmp_path):
-    """A batch RootSet keeps the summary the tracer's observer reads."""
+    """One root solve per order, none for the exact column, which comes
+    from an eigensolve of H(lambda); a batch RootSet keeps the summary the
+    tracer's observer reads."""
     tracer = load_tracer()
     calls = []
     observe = tracer._OBSERVERS["roots.all_roots"]
@@ -83,9 +85,9 @@ def test_sweep_run_records_one_root_solve_per_column(tmp_path):
     finally:
         recorder.remove()
     assert code == 0
-    assert recorder.layer_totals()["roots.all_roots"]["calls"] == 3
-    assert len(calls) == 3
+    assert recorder.layer_totals()["roots.all_roots"]["calls"] == 2
+    assert len(calls) == 2
     for degree, max_residual, converged in calls:
-        assert degree <= 3
+        assert degree == 2
         assert type(max_residual) is float
         assert converged is True
