@@ -5,9 +5,10 @@ record's modulus and residual come from its root and discriminant at output
 time, its multiplicity is the size of its symmetry group, and its source is
 "exact" or "order-K".  A sweep's exact column is one batched eigvalsh of
 H(lambda) and each order's column one batch root solve, returned as sorted
-rows and formatted as one block of cells; a resummed root shows its
-imaginary part when it exceeds IMAG_REPORT_THRESHOLD times the largest |z|
-at its coupling and order, whatever the energy unit.
+rows.  Every column, lambda included, goes through one formatter as one
+block of cells: a value shows its imaginary part when it exceeds
+IMAG_REPORT_THRESHOLD times the largest |z| in its row of the block,
+whatever the energy unit, so a real column never shows one.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure (a bad model or
 argument), 3 numerical failure (root finding, or an internal invariant such
@@ -52,31 +53,24 @@ def _json_float(x: float) -> str:
     return repr(float(x))
 
 
-def _block_rows(values: np.ndarray, suffixes: np.ndarray | str = "") -> list[str]:
-    """Each row of a float block as CSV cells: a cell is its value in
-    17-significant-digit scientific notation followed by its suffix."""
+def _block_rows(values: np.ndarray) -> list[str]:
+    """Each row of a real or complex block as CSV cells: each cell is the
+    real part in 17-significant-digit scientific notation, followed by the
+    imaginary part where |Im z| > IMAG_REPORT_THRESHOLD times the largest
+    |z| of its row (never, in a real block).  The choice does not depend on
+    the energy unit, and rounding noise on a root at or near zero is judged
+    against the row's scale, not against its own size."""
+    scale = np.abs(values).max(axis=1, keepdims=True)
+    shown = np.abs(values.imag) > IMAG_REPORT_THRESHOLD * scale
+    imag = values.imag[shown].tolist()
     rows, width = values.shape
-    args = np.empty((rows, 2 * width), dtype=object)
-    args[:, 0::2] = values
-    args[:, 1::2] = suffixes
+    args = np.full((rows, 2 * width), "", dtype=object)
+    args[:, 0::2] = values.real
+    args[:, 1::2][shown] = ("%+.16ej\n" * len(imag) % tuple(imag)).split("\n")[:-1]
     line = ",".join(["%.16e%s"] * width)
     # one %-format call per row: formatting the block as one text and
     # splitting it left the heap ~0.6 MB larger after a few hundred sweeps
     return [line % tuple(row) for row in args.tolist()]
-
-
-def _energy_rows(roots: np.ndarray) -> list[str]:
-    """CSV rows of a block of resummed roots: each cell is the real part,
-    followed by the imaginary part where |Im z| > IMAG_REPORT_THRESHOLD times
-    the largest |z| of its row.  The choice does not depend on the energy
-    unit, and rounding noise on a root at or near zero is judged against the
-    row's scale, not against its own size."""
-    scale = np.abs(roots).max(axis=1, keepdims=True)
-    shown = np.abs(roots.imag) > IMAG_REPORT_THRESHOLD * scale
-    imag = roots.imag[shown].tolist()
-    suffixes = np.full(roots.shape, "", dtype=object)
-    suffixes[shown] = ("%+.16ej\n" * len(imag) % tuple(imag)).split("\n")[:-1]
-    return _block_rows(roots.real, suffixes)
 
 
 @dataclass(frozen=True)
@@ -135,12 +129,12 @@ def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
     width = spec.lambda_max - spec.lambda_min
     lams = [spec.lambda_min + width * index / (spec.steps - 1)
             for index in range(spec.steps)]
-    columns = [(_block_rows, exact_eigenvalues_at(model, lams))]
-    columns += [(_energy_rows, eigenvalues_at(poly, lams)) for poly in polys]
+    columns = [exact_eigenvalues_at(model, lams)]
+    columns += [eigenvalues_at(poly, lams) for poly in polys]
     errors: dict[int, str] = {}  # row -> message of its first failing column
     parts = [_block_rows(np.array(lams)[:, None])]
-    for format_rows, (values, failures) in columns:
-        rows = format_rows(values)
+    for values, failures in columns:
+        rows = _block_rows(values)
         for index, failure in failures.items():
             errors.setdefault(index, str(failure).replace(",", ";"))
         for index in errors:
@@ -175,7 +169,17 @@ def _ep_block(disc: Polynomial, source: str) -> dict:
 def ep_report(
     model: MatrixModel, orders: tuple[int, ...], include_exact: bool
 ) -> dict:
-    """Exceptional points per reconstruction order, with the exact reference."""
+    """Exceptional points per reconstruction order, with the exact reference.
+
+    Two eigenvalues must be able to meet: ValueError before any work if an
+    order is asked of fewer than 2 model-space states, or the exact
+    reference of a dimension below 2."""
+    if orders and len(model.p_space) < 2:
+        raise ValueError(f"exceptional points of an order-K reconstruction need "
+                         f"at least 2 model-space states, got {len(model.p_space)}")
+    if include_exact and model.dimension < 2:
+        raise ValueError(f"exact exceptional points need dimension >= 2, "
+                         f"got {model.dimension}")
     report: dict = {"orders": []}
     if include_exact:
         disc = discriminant(characteristic_polynomial(model))

@@ -110,12 +110,8 @@ def exceptional_points(disc: Polynomial) -> list[list[complex]]:
         )
     result = all_roots(disc.coefficients)
     if not result.converged:
-        reason = ("reached a non-finite value" if cmath.isnan(result.max_residual)
-                  else f"did not converge (max residual {result.max_residual:.3e})")
-        raise RootFindingFailure(
-            f"discriminant root iteration {reason}",
-            roots=result.roots,
-            max_residual=result.max_residual,
+        raise RootFindingFailure.of_solve(
+            "discriminant root iteration", "", result.roots, result.max_residual
         )
     groups: list[list[complex]] = []
     for z in sorted(result.roots, key=lambda z: (abs(z), cmath.phase(z))):

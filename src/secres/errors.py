@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from math import isnan
+
 
 class SecresError(Exception):
     """Base class for every error raised by this package."""
@@ -71,3 +73,12 @@ class RootFindingFailure(SecresError):
         super().__init__(message)
         self.roots = roots
         self.max_residual = max_residual
+
+    @classmethod
+    def of_solve(cls, subject: str, where: str, roots, max_residual: float):
+        """The failure of one solve, worded from its residual: NaN means the
+        iteration reached a non-finite iterate, any other value that its
+        budget ran out.  where follows the verb, e.g. " at lambda=0.5"."""
+        reason = (f"reached a non-finite value{where}" if isnan(max_residual) else
+                  f"did not converge{where} (max residual {max_residual:.3e})")
+        return cls(f"{subject} {reason}", roots=roots, max_residual=max_residual)

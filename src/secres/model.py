@@ -9,6 +9,7 @@ basis indices.  Indices are 1-based in files and reports; conversion to
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
@@ -24,6 +25,30 @@ from .errors import (
     IndexOutOfRange,
     ModelFormatError,
 )
+
+
+def _array(value: Any, field: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ModelFormatError(f"{field} must be an array, got {value!r}")
+    return value
+
+
+def _number(value: Any, field: str, kind: type) -> Any:
+    """value as kind, which takes an int, or for float an int or a float.  A
+    bool is no number here, nor is an integer beyond the range of a double."""
+    with suppress(OverflowError):
+        if isinstance(value, (kind, int)) and not isinstance(value, bool):
+            return kind(value)
+    wanted = "an integer" if kind is int else "a real number"
+    raise ModelFormatError(f"{field} must be {wanted}, got {value!r}")
+
+
+def _coupling(entry: Any) -> tuple[int, int, float]:
+    if len(_array(entry, "interaction entry")) != 3:
+        raise ModelFormatError(f"interaction entry must have 3 items, got {entry!r}")
+    i, j, value = entry
+    return (_number(i, "interaction index", int), _number(j, "interaction index", int),
+            _number(value, "interaction value", float))
 
 
 @dataclass(frozen=True)
@@ -43,15 +68,23 @@ class MatrixModel:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "MatrixModel":
-        """Build a model from the JSON-file representation (unvalidated)."""
+        """Build a model from the JSON-file representation (unvalidated).
+
+        The dimension and every index must be integers, the energies and
+        couplings numbers, and the three lists arrays; anything else raises
+        ModelFormatError naming the field: 3.9 is no dimension and 2.0 no
+        index, and a string is not split into entries.
+        """
         try:
-            dimension = int(data["dimension"])
-            h0 = tuple(float(x) for x in data["h0_diagonal"])
+            dimension = _number(data["dimension"], "dimension", int)
+            h0 = tuple(_number(x, "h0_diagonal entry", float)
+                       for x in _array(data["h0_diagonal"], "h0_diagonal"))
             interaction = tuple(
-                (int(i), int(j), float(v)) for i, j, v in data["interaction"]
+                _coupling(entry) for entry in _array(data["interaction"], "interaction")
             )
-            p_space = tuple(int(n) for n in data["p_space"])
-        except (KeyError, TypeError, ValueError) as exc:
+            p_space = tuple(_number(n, "p_space entry", int)
+                            for n in _array(data["p_space"], "p_space"))
+        except KeyError as exc:
             raise ModelFormatError(f"malformed model data: {exc}") from exc
         if len(h0) != dimension:
             raise ModelFormatError(

@@ -7,7 +7,8 @@ root of a whole batch of polynomials of one degree, stored as the columns
 of a coefficient array.  Starting points sit on a circle of radius given by
 the Cauchy bound, rotated by an irrational angle so that no initial guess
 lands on a symmetry axis of the root set.  Multiple roots come back as
-near-coincident simple roots; clustering them is the caller's job.
+near-coincident simple roots.  Clustering them and wording a failed solve
+are the caller's job.
 
 p and p' come from Horner's rule on a stack of planes [p', p, c_n, ..., c_0],
 each shaped like the roots.  A window of two planes slides down the stack:
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RootFindingFailure, ZeroPolynomial
+from .errors import ZeroPolynomial
 
 DEFAULT_TOL = 1e-13
 MAX_ITERATIONS = 500
@@ -193,31 +194,3 @@ def all_roots(coefficients: Sequence) -> RootSet:
         column_residual=residuals,
     )
 
-
-def roots_by_coupling(
-    result: RootSet, lams: Sequence[complex]
-) -> tuple[np.ndarray, dict[int, RootFindingFailure]]:
-    """The roots of a batch solve by coupling: an (M, degree) array whose
-    row m holds the roots at lams[m] by real part, ties by imaginary part,
-    and the RootFindingFailure of each coupling whose column did not
-    converge, keyed by its index.  A NaN residual means the column stopped
-    at a non-finite iterate, and its message says so.
-
-    numpy orders complex values by real part, then imaginary part, and the
-    stable sort keeps equal keys (0.0 and -0.0 among them) in solver order.
-    """
-    failing = np.flatnonzero(~result.column_converged)
-    failures = {
-        index: RootFindingFailure(
-            f"root iteration reached a non-finite value at lambda={lams[index]!r}"
-            if np.isnan(residual) else
-            f"root iteration did not converge at lambda={lams[index]!r} "
-            f"(max residual {residual:.3e})",
-            roots=tuple(result.roots[:, index].tolist()),
-            max_residual=residual,
-        )
-        for index, residual in zip(
-            failing.tolist(), result.column_residual[failing].tolist()
-        )
-    }
-    return np.sort(result.roots.T, axis=1, kind="stable"), failures

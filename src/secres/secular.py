@@ -4,7 +4,9 @@ Expanding prod_n (W - E_n(lambda)) over the model-space energy series, with
 truncation applied inside every multiplication, yields a monic polynomial in
 the energy variable W whose coefficients p_1..p_N are themselves truncated
 series in the coupling.  Its roots resum the individual series; no effective
-Hamiltonian matrix is ever constructed.
+Hamiltonian matrix is ever constructed.  eigenvalues_at is the one path from
+that polynomial to its roots on a grid of couplings: evaluate the p_j there,
+solve the whole grid at once, sort each row and name each failed coupling.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyList, OrderMismatch, RootFindingFailure
-from .roots import all_roots, roots_by_coupling
+from .roots import all_roots
 from .series import MonicPolynomial, Polynomial
 
 
@@ -54,10 +56,22 @@ def eigenvalues_at(
 ) -> tuple[np.ndarray, dict[int, RootFindingFailure]]:
     """All N roots in W at each coupling of a grid, one sorted row each.
 
-    One batch solve covers the grid.  Returns the (len(lams), N) roots,
-    each row by real part, ties by imaginary part, and the
-    RootFindingFailure of each coupling whose roots did not converge,
-    keyed by its index in lams.
+    p_N, ..., p_1 are evaluated on the grid and one batch solve covers it;
+    an overflow reads inf or nan, which the solve reports as a failure at
+    that coupling, so numpy does not warn of it.  Returns the (len(lams), N)
+    roots, each row by real part, ties by imaginary part in one stable sort
+    (equal keys such as 0.0 and -0.0 keep solver order), and the
+    RootFindingFailure of each coupling whose roots did not converge, keyed
+    by its index in lams.
     """
     grid = np.asarray(lams)
-    return roots_by_coupling(all_roots(poly.coefficients_at(grid)), grid.tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [p.evaluate(grid) for p in reversed(poly.coefficients)]
+    result = all_roots(values + [np.ones(grid.shape)])
+    failures = {
+        m: RootFindingFailure.of_solve(
+            "root iteration", f" at lambda={grid[m].item()!r}",
+            tuple(result.roots[:, m].tolist()), result.column_residual[m].item())
+        for m in np.flatnonzero(~result.column_converged).tolist()
+    }
+    return np.sort(result.roots.T, axis=1, kind="stable"), failures

@@ -7,15 +7,14 @@ an order K every term of degree > K is discarded at the moment it would be
 formed, never post-hoc on an assembled product.  No operation drops
 trailing coefficients on its own; ``trimmed`` does, and it is called only
 where a degree is decided.  Coefficients are double-precision reals;
-complex numbers appear only at evaluation time.
+complex numbers appear only at evaluation time, and a monic polynomial is
+evaluated on a grid of couplings only by secular.eigenvalues_at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-
-import numpy as np
 
 from .errors import InvariantViolation
 
@@ -130,15 +129,6 @@ class MonicPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients)
-
-    def coefficients_at(self, grid: np.ndarray) -> list[np.ndarray]:
-        """The ascending energy coefficients p_d, ..., p_1, 1 at every coupling
-        of a grid, one array shaped like it each.  An overflow reads inf or
-        nan, which the root finder reports as a failure at that coupling, so
-        numpy does not warn of it."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = [p.evaluate(grid) for p in reversed(self.coefficients)]
-        return values + [np.ones(grid.shape)]
 
     def to_dict(self) -> dict:
         return {

@@ -1,7 +1,6 @@
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from secres import MatrixModel, all_roots, load_model, validate
@@ -28,7 +27,7 @@ def charpoly_roots_at(cp, lam):
     then imaginary part; fails unless the solve converged.  Tests of the
     polynomial itself use this, not exact_eigenvalues_at, which never forms
     it."""
-    result = all_roots(cp.coefficients_at(np.array(lam)))
+    result = all_roots([p.evaluate(lam) for p in reversed(cp.coefficients)] + [1.0])
     assert result.converged, result.max_residual
     return sorted(result.roots, key=lambda z: (z.real, z.imag))
 

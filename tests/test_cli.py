@@ -62,6 +62,23 @@ def test_validate_duplicate_entry(tmp_path, capsys):
     assert "DuplicateEntry" in err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"p_space": None}, "malformed model data: 'p_space'"),
+    ({"dimension": 0, "h0_diagonal": []}, "dimension must be positive, got 0"),
+    ({"h0_diagonal": [2, float("nan"), 1]}, "non-finite diagonal entry nan"),
+    ({"interaction": [[1, 2, float("inf")], [2, 3, 1]]},
+     "non-finite interaction value at (1, 2)"),
+])
+def test_validate_model_format_errors(tmp_path, capsys, overrides, message):
+    # json writes NaN and Infinity, and reads them back
+    data = {**model_to_dict(load_model(MODEL)), **overrides}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+    code, out, err = run(capsys, "validate", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: ModelFormatError: {message}\n"
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "--model", "/no/such/file.json")
     assert code == 1
@@ -402,6 +419,32 @@ def test_ep_exact_only(capsys):
         for p in report["exact"]["points"]
     )
     assert found
+
+
+ONE_STATE = {
+    "dimension": 3, "h0_diagonal": [2, 1.1, 1],
+    "interaction": [[1, 2, 1], [2, 3, 1]], "p_space": [2],
+}
+ONE_LEVEL = {"dimension": 1, "h0_diagonal": [0.5], "interaction": [], "p_space": [1]}
+NO_PAIR = "at least 2 model-space states, got 1"
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    (ONE_STATE, ("ep", "--orders", "4"), NO_PAIR),
+    (ONE_STATE, ("ep", "--orders", "2", "--exact"), NO_PAIR),
+    (ONE_STATE, ("table1",), NO_PAIR),
+    (ONE_LEVEL, ("ep", "--exact"), "need dimension >= 2, got 1"),
+])
+def test_ep_without_a_pair_of_levels_exits_2(tmp_path, capsys, data, argv, message):
+    # nothing numerical failed: no two eigenvalues were there to meet
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ValueError: ") and err.endswith(f"{message}\n")
+    # a sweep of the same model still has its one resummed column
+    code, out, _ = run(capsys, "sweep", "--model", str(path), "--steps", "2")
+    assert code == 0 and out.splitlines()[1].endswith(",")
 
 
 def test_ep_floats_are_round_trip_strings(capsys):

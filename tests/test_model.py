@@ -94,6 +94,36 @@ def test_wrong_h0_length_rejected():
         )
 
 
+ZHENG3_DATA = {
+    "dimension": 3,
+    "h0_diagonal": [2, 1.1, 1],
+    "interaction": [[1, 2, 1], [2, 3, 1]],
+    "p_space": [2, 3],
+}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # once read as zheng3 by rounding every number down
+    ({"dimension": 3.9, "interaction": [[1.7, 2, 1], [2, 3.2, 1]], "p_space": [2.5, 3]},
+     "dimension must be an integer, got 3.9"),
+    # once read one character at a time, as h0 = (2, 1, 5) and p_space (2, 3)
+    ({"h0_diagonal": "215", "p_space": "23"},
+     "h0_diagonal must be an array, got '215'"),
+    ({"p_space": [True]}, "p_space entry must be an integer, got True"),
+    ({"dimension": 2, "h0_diagonal": ["0", "1"], "interaction": [[1, 2, 1]]},
+     "h0_diagonal entry must be a real number, got '0'"),
+    # float() of this integer raised OverflowError past the CLI's handlers
+    ({"h0_diagonal": [2, 1.1, 10**400]}, "h0_diagonal entry must be a real number"),
+    ({"p_space": [2.0, 3]}, "p_space entry must be an integer, got 2.0"),
+    ({"interaction": [[1, 2]]}, "interaction entry must have 3 items, got [1, 2]"),
+    ({"interaction": [[1, 2, "1"]]}, "interaction value must be a real number"),
+])
+def test_model_numbers_must_be_numbers(overrides, message):
+    with pytest.raises(ModelFormatError) as info:
+        MatrixModel.from_dict({**ZHENG3_DATA, **overrides})
+    assert str(info.value).startswith(message)
+
+
 def test_load_model_round_trip(tmp_path, zheng3):
     path = tmp_path / "copy.json"
     path.write_text(json.dumps(model_to_dict(zheng3)))
