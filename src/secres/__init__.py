@@ -34,7 +34,7 @@ from .model import (
 from .roots import RootSet, all_roots
 from .rspt import p_space_series, perturbation_series
 from .secular import eigenvalues_at, reconstruct
-from .series import MonicPolynomial, Polynomial, format_coefficients
+from .series import MonicPolynomial, Polynomial
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "eigenvalues_at",
     "exact_eigenvalues_at",
     "exceptional_points",
-    "format_coefficients",
     "interaction_matrix",
     "load_model",
     "nearest_exceptional_point",

@@ -10,9 +10,13 @@ block of cells: a value shows its imaginary part when it exceeds
 IMAG_REPORT_THRESHOLD times the largest |z| in its row of the block,
 whatever the energy unit, so a real column never shows one.
 
-Exit codes: 0 success, 1 I/O failure, 2 validation failure (a bad model or
-argument), 3 numerical failure (root finding, or an internal invariant such
-as a non-finite coefficient).  All output is deterministic for a fixed input
+Each command is a function of the loaded model and its arguments that
+returns its text.  main alone loads the model, writes the text and a final
+newline to stdout or to the --out file (the same bytes either way), and
+maps exceptions to exit codes: 0 success, 1 I/O failure, 2 validation
+failure (a bad model or argument, or a model where no exceptional point can
+exist), 3 numerical failure (root finding, or an internal invariant such as
+a non-finite coefficient).  All output is deterministic for a fixed input
 and platform: no randomness, fixed iteration orders, fixed sorting
 conventions.  Floats in JSON reports are emitted as shortest-round-trip
 decimal strings so that no reader rounds them; CSV cells use
@@ -37,7 +41,7 @@ from .errors import SecresError, ValidationError
 from .model import MatrixModel, load_model
 from .rspt import p_space_series
 from .secular import eigenvalues_at, reconstruct
-from .series import Polynomial, format_coefficients
+from .series import Polynomial
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -166,107 +170,75 @@ def _ep_block(disc: Polynomial, source: str) -> dict:
     }
 
 
-def ep_report(
-    model: MatrixModel, orders: tuple[int, ...], include_exact: bool
-) -> dict:
+def ep_report(model: MatrixModel, orders: tuple[int, ...], include_exact: bool) -> dict:
     """Exceptional points per reconstruction order, with the exact reference.
 
-    Two eigenvalues must be able to meet: ValueError before any work if an
-    order is asked of fewer than 2 model-space states, or the exact
-    reference of a dimension below 2."""
-    if orders and len(model.p_space) < 2:
-        raise ValueError(f"exceptional points of an order-K reconstruction need "
-                         f"at least 2 model-space states, got {len(model.p_space)}")
-    if include_exact and model.dimension < 2:
-        raise ValueError(f"exact exceptional points need dimension >= 2, "
-                         f"got {model.dimension}")
+    Where no two eigenvalues can meet (fewer than 2 of them, or a
+    discriminant constant in lambda), the discriminant or
+    exceptional_points raises DegreeTooSmall, a ValueError."""
     report: dict = {"orders": []}
     if include_exact:
         disc = discriminant(characteristic_polynomial(model))
         report["exact"] = _ep_block(disc, "exact")
     for k in orders:
         disc = discriminant(reconstruct(p_space_series(model, k)))
-        entry = {"order": k}
-        entry.update(_ep_block(disc, f"order-{k}"))
-        report["orders"].append(entry)
+        report["orders"].append({"order": k, **_ep_block(disc, f"order-{k}")})
     return report
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+def cmd_validate(model: MatrixModel, args: argparse.Namespace) -> str:
+    return "OK"
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    load_model(args.model)
-    print("OK")
-    return EXIT_OK
-
-
-def cmd_series(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+def cmd_series(model: MatrixModel, args: argparse.Namespace) -> str:
     lines = []
     for state, series in zip(model.p_space, p_space_series(model, args.order)):
         lines.append(f"state {state}")
         for power, c in enumerate(series.coefficients):
             lines.append(f"  order {power:>3d}  {c:.16e}")
-    _write_output("\n".join(lines), args.out)
-    return EXIT_OK
+    return "\n".join(lines)
 
 
-def cmd_charpoly(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    cp = characteristic_polynomial(model)
-    lines = [
-        f"p_{j}(lambda) = {format_coefficients(poly.coefficients, var='lambda')}"
-        for j, poly in enumerate(cp.coefficients, start=1)
-    ]
-    _write_output("\n".join(lines), args.out)
-    return EXIT_OK
+def cmd_charpoly(model: MatrixModel, args: argparse.Namespace) -> str:
+    """p_j(lambda) = c0 + c1*lambda + c2*lambda^2 + ..., one line per j; 17
+    significant digits round-trip to the doubles."""
+    lines = []
+    for j, poly in enumerate(characteristic_polynomial(model).coefficients, start=1):
+        # +0.0 folds -0.0 into 0
+        terms = [f"{c + 0.0:.17g}"
+                 + ("" if k == 0 else "*lambda" if k == 1 else f"*lambda^{k}")
+                 for k, c in enumerate(poly.coefficients)]
+        lines.append(f"p_{j}(lambda) = {' + '.join(terms)}")
+    return "\n".join(lines)
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+def cmd_reconstruct(model: MatrixModel, args: argparse.Namespace) -> str:
     poly = reconstruct(p_space_series(model, args.order))
-    _write_output(json.dumps(poly.to_dict(), indent=2), args.out)
-    return EXIT_OK
+    return json.dumps({
+        "degree": poly.degree,
+        "order": max(p.degree for p in poly.coefficients),
+        "coefficients": [list(p.coefficients) for p in poly.coefficients],
+    }, indent=2)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    spec = SweepSpec(
-        lambda_min=args.lambda_min,
-        lambda_max=args.lambda_max,
-        steps=args.steps,
-        orders=_parse_orders(args.orders),
-    )
-    lines = sweep_csv_lines(model, spec)
-    _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+def cmd_sweep(model: MatrixModel, args: argparse.Namespace) -> str:
+    spec = SweepSpec(args.lambda_min, args.lambda_max, args.steps,
+                     _parse_orders(args.orders))
+    return "\n".join(sweep_csv_lines(model, spec))
 
 
-def cmd_ep(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+def cmd_ep(model: MatrixModel, args: argparse.Namespace) -> str:
     report = ep_report(model, _parse_orders(args.orders), args.exact)
-    _write_output(json.dumps(report, indent=2), args.out)
-    return EXIT_OK
+    return json.dumps(report, indent=2)
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    path = args.model if args.model else bundled_model_path()
-    model = load_model(path)
+def cmd_table1(model: MatrixModel, args: argparse.Namespace) -> str:
     report = ep_report(model, TABLE1_ORDERS, include_exact=True)
     lines = ["K      nearest-EP modulus"]
     for entry in report["orders"]:
         lines.append(f"{entry['order']:<6d} {entry['nearest_modulus']}")
     lines.append(f"exact  {report['exact']['nearest_modulus']}")
-    _write_output("\n".join(lines), args.out)
-    return EXIT_OK
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a model file")
     add_model(p)
-    p.set_defaults(handler=cmd_validate)
+    p.set_defaults(handler=cmd_validate, out=None)
 
     p = sub.add_parser("series", help="print per-state energy series")
     add_model(p)
@@ -328,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         "table1",
         help="nearest-EP modulus for K=2,4,6,8,10 plus exact, bundled fixture",
     )
-    p.add_argument("--model", default=None, help="override the bundled fixture")
+    p.add_argument("--model", default=bundled_model_path(),
+                   help="override the bundled fixture")
     add_out(p)
     p.set_defaults(handler=cmd_table1)
 
@@ -336,10 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        text = args.handler(load_model(args.model), args) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except (ValidationError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -349,6 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except SecresError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def console_main() -> None:

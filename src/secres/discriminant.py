@@ -63,9 +63,8 @@ def discriminant(poly: MonicPolynomial) -> Polynomial:
     """
     degree = poly.degree
     if degree < 2:
-        raise DegreeTooSmall(
-            f"discriminant needs energy degree >= 2, got {degree}"
-        )
+        raise DegreeTooSmall(f"no exceptional point exists: energy degree {degree} "
+                             f"has fewer than 2 eigenvalues to meet")
     p = [q.trimmed() for q in poly.coefficients]
     degree_cap = degree * (degree - 1) * max(q.degree for q in p)
 
@@ -105,9 +104,8 @@ def exceptional_points(disc: Polynomial) -> list[list[complex]]:
     members of each group in ascending principal argument.
     """
     if disc.degree < 1:
-        raise DegreeTooSmall(
-            f"discriminant must have lambda degree >= 1, got {disc.degree}"
-        )
+        raise DegreeTooSmall(f"no exceptional point exists: a discriminant of "
+                             f"lambda degree {disc.degree} has no root")
     result = all_roots(disc.coefficients)
     if not result.converged:
         raise RootFindingFailure.of_solve(

@@ -47,8 +47,11 @@ class EmptyList(SecresError):
     """An operation that needs at least one element received none."""
 
 
-class DegreeTooSmall(SecresError):
-    """The polynomial degree is below the minimum the operation supports."""
+class DegreeTooSmall(SecresError, ValueError):
+    """No exceptional point can exist: an energy polynomial of degree < 2
+    has no two eigenvalues to meet, and a discriminant constant in lambda
+    has no root.  The input is at fault, not the arithmetic, so this is a
+    ValueError too."""
 
 
 class ZeroPolynomial(SecresError):

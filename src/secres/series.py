@@ -8,7 +8,8 @@ formed, never post-hoc on an assembled product.  No operation drops
 trailing coefficients on its own; ``trimmed`` does, and it is called only
 where a degree is decided.  Coefficients are double-precision reals;
 complex numbers appear only at evaluation time, and a monic polynomial is
-evaluated on a grid of couplings only by secular.eigenvalues_at.
+evaluated on a grid of couplings only by secular.eigenvalues_at.  Neither
+type formats itself: the command line writes every output format.
 """
 
 from __future__ import annotations
@@ -21,23 +22,6 @@ from .errors import InvariantViolation
 # tolerance for trailing-zero stripping, relative to the largest coefficient;
 # degree decisions feed the discriminant, so it is read in trimmed() only
 TRAILING_ZERO_TOL = 1e-12
-
-
-def format_coefficients(coefficients, var: str = "x") -> str:
-    """Render ``c0 + c1*x + c2*x^2 + ...`` with 17 significant digits.
-
-    17 digits round-trip exactly to the underlying doubles.
-    """
-    parts = []
-    for power, c in enumerate(coefficients):
-        digits = f"{float(c) + 0.0:.17g}"  # +0.0 folds -0.0 into 0
-        if power == 0:
-            parts.append(digits)
-        elif power == 1:
-            parts.append(f"{digits}*{var}")
-        else:
-            parts.append(f"{digits}*{var}^{power}")
-    return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -129,10 +113,3 @@ class MonicPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients)
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "order": max(p.degree for p in self.coefficients),
-            "coefficients": [list(p.coefficients) for p in self.coefficients],
-        }

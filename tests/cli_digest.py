@@ -32,6 +32,9 @@ from secres.cli import bundled_model_path, main  # noqa: E402
 
 SEEDS = (1, 2, 3)
 PER_MODEL = (
+    ("validate",),
+    ("series", "--order", "30"),
+    ("charpoly",),
     ("reconstruct", "--order", "12"),
     ("reconstruct", "--order", "30"),
     ("sweep", "--orders", "2,4,6,8,10", "--steps", "1001"),

@@ -7,6 +7,8 @@ import pytest
 
 from secres import (
     MatrixModel,
+    MonicPolynomial,
+    Polynomial,
     RootFindingFailure,
     characteristic_polynomial,
     discriminant,
@@ -129,6 +131,16 @@ def test_charpoly_output(capsys):
     assert float(lines[0].split("=")[1].strip().split(" + ")[0]) == pytest.approx(
         -4.1, abs=1e-12
     )
+
+
+def test_charpoly_coefficients_17_digits(capsys, monkeypatch):
+    cp = MonicPolynomial((Polynomial((1.0, 0.0, -10.0 / 9.0)),))
+    monkeypatch.setattr(cli, "characteristic_polynomial", lambda model: cp)
+    code, out, _ = run(capsys, "charpoly", "--model", MODEL)
+    assert code == 0 and out.startswith("p_1(lambda) = ")
+    text = out.removeprefix("p_1(lambda) = ").removesuffix("\n")
+    assert text == "1 + 0*lambda + -1.1111111111111112*lambda^2"
+    assert float(text.rsplit(" + ", 1)[1].split("*")[0]) == -10.0 / 9.0
 
 
 def test_reconstruct_json_schema(capsys):
@@ -426,25 +438,56 @@ ONE_STATE = {
     "interaction": [[1, 2, 1], [2, 3, 1]], "p_space": [2],
 }
 ONE_LEVEL = {"dimension": 1, "h0_diagonal": [0.5], "interaction": [], "p_space": [1]}
-NO_PAIR = "at least 2 model-space states, got 1"
+NO_PAIR = "no exceptional point exists: energy degree 1 has fewer than 2 eigenvalues to meet"
+NO_ROOT = "no exceptional point exists: a discriminant of lambda degree 0 has no root"
 
 
-@pytest.mark.parametrize("data, argv, message", [
-    (ONE_STATE, ("ep", "--orders", "4"), NO_PAIR),
-    (ONE_STATE, ("ep", "--orders", "2", "--exact"), NO_PAIR),
-    (ONE_STATE, ("table1",), NO_PAIR),
-    (ONE_LEVEL, ("ep", "--exact"), "need dimension >= 2, got 1"),
-])
-def test_ep_without_a_pair_of_levels_exits_2(tmp_path, capsys, data, argv, message):
+@pytest.mark.parametrize("data, argv", [
+    (ONE_STATE, ("ep", "--orders", "4")),
+    (ONE_STATE, ("ep", "--orders", "2", "--exact")),
+    (ONE_STATE, ("table1",)),
+    (ONE_LEVEL, ("ep", "--exact")),
+], ids=["one-state-orders", "one-state-orders-exact", "one-state-table1",
+        "one-level-exact"])
+def test_ep_without_a_pair_of_levels_exits_2(tmp_path, capsys, data, argv):
     # nothing numerical failed: no two eigenvalues were there to meet
     path = tmp_path / "model.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, *argv, "--model", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ValueError: ") and err.endswith(f"{message}\n")
+    assert err == f"error: DegreeTooSmall: {NO_PAIR}\n"
     # a sweep of the same model still has its one resummed column
     code, out, _ = run(capsys, "sweep", "--model", str(path), "--steps", "2")
     assert code == 0 and out.splitlines()[1].endswith(",")
+
+
+NO_COUPLING = {"dimension": 2, "h0_diagonal": [0, 1], "interaction": [], "p_space": [1, 2]}
+# the model space never feels the one coupling, between states 3 and 4
+UNREACHED = {
+    "dimension": 4, "h0_diagonal": [0, 1, 2, 3],
+    "interaction": [[3, 4, 0.5]], "p_space": [1, 2],
+}
+
+
+@pytest.mark.parametrize("data, argv", [
+    (None, ("ep", "--orders", "0")),
+    (None, ("ep", "--orders", "1")),
+    (NO_COUPLING, ("ep", "--orders", "4")),
+    (NO_COUPLING, ("ep", "--exact")),
+    (NO_COUPLING, ("table1",)),
+    (UNREACHED, ("ep", "--orders", "4")),
+], ids=["zheng3-order0", "zheng3-order1", "no-coupling-order4", "no-coupling-exact",
+        "no-coupling-table1", "unreached-order4"])
+def test_ep_with_a_constant_discriminant_exits_2(tmp_path, capsys, data, argv):
+    # zheng3 has no diagonal coupling, so its order-0 and order-1 energies
+    # are constant; the other models never couple their model space
+    path = ZHENG3_PATH
+    if data is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: DegreeTooSmall: {NO_ROOT}\n"
 
 
 def test_ep_floats_are_round_trip_strings(capsys):
@@ -647,6 +690,31 @@ def test_sweep_exact_cells_need_no_charpoly(tmp_path, capsys):
         row = line.split(",")
         exact = np.linalg.eigvalsh(hamiltonian_at(model, float(row[0])).real)
         assert row[1:5] == ["%.16e" % e for e in exact]
+
+
+EVERY_COMMAND = [
+    ("validate",),
+    ("series", "--order", "6"),
+    ("charpoly",),
+    ("reconstruct", "--order", "6"),
+    ("sweep", "--orders", "2,6", "--steps", "11"),
+    ("ep", "--orders", "2,6", "--exact"),
+    ("table1",),
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_out_file_holds_stdout_and_empty_model_is_missing(tmp_path, capsys, argv):
+    if argv[0] != "validate":  # the one command without --out
+        code, out, err = run(capsys, *argv, "--model", MODEL)
+        assert code == 0 and err == ""
+        path = tmp_path / "out"
+        assert run(capsys, *argv, "--model", MODEL, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode("utf-8")
+    # only an absent --model falls back to the bundled fixture
+    code, out, err = run(capsys, *argv, "--model", "")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -146,12 +146,3 @@ def test_monotone_convergence_at_small_coupling(zheng3):
         if previous is not None:
             assert error <= previous
         previous = error
-
-
-def test_to_dict_schema(zheng3):
-    poly = reconstruct(p_space_series(zheng3, 4))
-    data = poly.to_dict()
-    assert data["degree"] == 2
-    assert data["order"] == 4
-    assert len(data["coefficients"]) == 2
-    assert all(len(row) == 5 for row in data["coefficients"])

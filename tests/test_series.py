@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from secres import Polynomial, format_coefficients
+from secres import Polynomial
 
 from oracles import is_even, monomial, poly_mul, truncate
 
@@ -123,9 +123,3 @@ def test_truncated_product_evaluates_like_exact_product_below_order():
         got = a.mul(b, k).evaluate(lam)
         want = a.evaluate(lam) * b.evaluate(lam)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
-
-
-def test_format_coefficients_17_digits():
-    text = format_coefficients((1.0, 0.0, -10.0 / 9.0))
-    assert text == "1 + 0*x + -1.1111111111111112*x^2"
-    assert float(text.rsplit(" + ", 1)[1].split("*")[0]) == -10.0 / 9.0

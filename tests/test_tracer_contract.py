@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from secres import cli
 
 from conftest import ZHENG3_PATH
@@ -91,3 +93,21 @@ def test_sweep_run_records_one_root_solve_per_column(tmp_path):
         assert degree == 2
         assert type(max_residual) is float
         assert converged is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("ep", "--model", str(ZHENG3_PATH), "--orders", "6"),
+    ("table1",),
+], ids=["ep", "table1-bundled"])
+def test_each_command_loads_its_model_once(tmp_path, argv):
+    """main loads the model through secres.cli's load_model binding, once
+    per command, the bundled fixture included."""
+    tracer = load_tracer()
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
+    finally:
+        recorder.remove()
+    assert code == 0
+    assert recorder.layer_totals()["model.load_model"]["calls"] == 1
