@@ -1,3 +1,6 @@
+import argparse
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from secres import (
     reconstruct,
     validate,
 )
+from secres.cli import cmd_reconstruct
 
 from conftest import roots_at
 from oracles import poly_mul, truncate
@@ -146,3 +150,13 @@ def test_monotone_convergence_at_small_coupling(zheng3):
         if previous is not None:
             assert error <= previous
         previous = error
+
+
+def test_to_dict_schema(zheng3):
+    poly = reconstruct(p_space_series(zheng3, 4))
+    data = json.loads(cmd_reconstruct(zheng3, argparse.Namespace(order=4)))
+    assert data["degree"] == 2
+    assert data["order"] == 4
+    assert len(data["coefficients"]) == 2
+    assert all(len(row) == 5 for row in data["coefficients"])
+    assert data["coefficients"] == [list(p.coefficients) for p in poly.coefficients]
