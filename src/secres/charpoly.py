@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation
 from .model import MatrixModel, interaction_matrix
 from .roots import all_roots  # noqa: F401  perfbench/tracer.py wraps this binding
 from .series import MonicPolynomial, Polynomial
@@ -55,10 +54,11 @@ def characteristic_polynomial(model: MatrixModel) -> MonicPolynomial:
 
 def exact_eigenvalues_at(
     model: MatrixModel, lams: Sequence[float]
-) -> tuple[np.ndarray, dict[int, InvariantViolation]]:
+) -> tuple[np.ndarray, dict[int, str]]:
     """Ascending eigenvalues of H(lambda) = diag(h0) + lambda*V at each real
     coupling, by one batched eigvalsh.  Rows with a non-finite eigenvalue, nan
-    where the matrix overflows (LAPACK may reject it), key InvariantViolations."""
+    where the matrix overflows (LAPACK may reject it), key messages naming
+    their coupling."""
     with np.errstate(over="ignore", invalid="ignore"):
         stack = np.multiply.outer(np.asarray(lams, float), interaction_matrix(model))
         stack += np.diag(model.h0_diagonal)
@@ -66,5 +66,5 @@ def exact_eigenvalues_at(
     eigenvalues = np.full(stack.shape[:2], np.nan)
     eigenvalues[finite] = np.linalg.eigvalsh(stack[finite])
     failing = np.flatnonzero(~np.isfinite(eigenvalues).all(axis=1)).tolist()
-    return eigenvalues, {index: InvariantViolation(
-        f"non-finite eigenvalue at lambda={lams[index]!r}") for index in failing}
+    return eigenvalues, {index: f"non-finite eigenvalue at lambda={lams[index]!r}"
+                         for index in failing}

@@ -29,6 +29,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from math import isfinite
 from pathlib import Path
@@ -111,10 +112,18 @@ def bundled_model_path() -> Path:
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
+    """Distinct integer orders from a comma-separated --orders value; a blank
+    value gives none.  Anything else raises a ValueError quoting the text."""
+    if not text.strip():
         return ()
-    return tuple(int(part) for part in text.split(","))
+    try:
+        orders = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--orders takes comma-separated integers, got {text!r}") from None
+    if len(set(orders)) < len(orders):
+        raise ValueError(f"--orders repeats an order in {text!r}")
+    return orders
 
 
 def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
@@ -139,8 +148,8 @@ def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
     parts = [_block_rows(np.array(lams)[:, None])]
     for values, failures in columns:
         rows = _block_rows(values)
-        for index, failure in failures.items():
-            errors.setdefault(index, str(failure).replace(",", ";"))
+        for index, message in failures.items():
+            errors.setdefault(index, message.replace(",", ";"))
         for index in errors:
             rows[index] = ",".join(["nan"] * values.shape[1])
         parts.append(rows)
@@ -241,7 +250,10 @@ def cmd_table1(model: MatrixModel, args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: main runs many
+    commands in one process when a caller drives it in a loop."""
     parser = argparse.ArgumentParser(
         prog="secres",
         description=(

@@ -20,7 +20,9 @@ import cmath
 from functools import cache
 from typing import Sequence
 
-from .errors import DegreeTooSmall, EmptyList, InvariantViolation, RootFindingFailure
+from .errors import (
+    DegreeTooSmall, EmptyList, InvariantViolation, RootFindingFailure, failed_solve,
+)
 from .roots import all_roots
 from .series import MonicPolynomial, Polynomial
 
@@ -108,11 +110,11 @@ def exceptional_points(disc: Polynomial) -> list[list[complex]]:
                              f"lambda degree {disc.degree} has no root")
     result = all_roots(disc.coefficients)
     if not result.converged:
-        raise RootFindingFailure.of_solve(
-            "discriminant root iteration", "", result.roots, result.max_residual
-        )
+        raise RootFindingFailure(
+            failed_solve("discriminant root iteration", "", result.max_residual))
     groups: list[list[complex]] = []
-    for z in sorted(result.roots, key=lambda z: (abs(z), cmath.phase(z))):
+    for z in sorted(result.roots[:, 0].tolist(),
+                    key=lambda z: (abs(z), cmath.phase(z))):
         if groups and abs(abs(z) - abs(groups[-1][0])) <= MODULUS_TIE_TOL * max(
             1.0, abs(groups[-1][0])
         ):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package and the wording of a failed solve."""
 
 from math import isnan
 
@@ -67,21 +67,13 @@ class InvariantViolation(SecresError):
 
 
 class RootFindingFailure(SecresError):
-    """The simultaneous root iteration failed to converge.
+    """The simultaneous root iteration failed to converge."""
 
-    Carries the best iterates and the residual estimate for diagnostics.
-    """
 
-    def __init__(self, message: str, roots=None, max_residual: float | None = None):
-        super().__init__(message)
-        self.roots = roots
-        self.max_residual = max_residual
-
-    @classmethod
-    def of_solve(cls, subject: str, where: str, roots, max_residual: float):
-        """The failure of one solve, worded from its residual: NaN means the
-        iteration reached a non-finite iterate, any other value that its
-        budget ran out.  where follows the verb, e.g. " at lambda=0.5"."""
-        reason = (f"reached a non-finite value{where}" if isnan(max_residual) else
-                  f"did not converge{where} (max residual {max_residual:.3e})")
-        return cls(f"{subject} {reason}", roots=roots, max_residual=max_residual)
+def failed_solve(subject: str, where: str, max_residual: float) -> str:
+    """The message for one failed solve, worded from its residual: NaN means
+    the iteration reached a non-finite iterate, any other value that its
+    budget ran out.  where follows the verb, e.g. " at lambda=0.5"."""
+    reason = (f"reached a non-finite value{where}" if isnan(max_residual) else
+              f"did not converge{where} (max residual {max_residual:.3e})")
+    return f"{subject} {reason}"

@@ -40,16 +40,15 @@ _ANGLE_OFFSET = 0.38196601125010515
 class RootSet:
     """Roots with multiplicity plus a residual-based quality estimate.
 
-    For one polynomial, roots is a tuple of complex; for a batch it is a
-    (degree, M) array whose column m holds the roots of polynomial m.
-    max_residual is the largest Newton-correction magnitude |p(z)/p'(z)|
-    over the returned roots, which estimates the distance to the true root,
-    and converged holds when every column converged.  column_converged and
-    column_residual give each column's flag and largest residual, as arrays
-    of length M.
+    roots is (degree, M): column m holds the roots of polynomial m, and M is
+    1 for one polynomial.  max_residual is the largest Newton-correction
+    magnitude |p(z)/p'(z)| over the returned roots, which estimates the
+    distance to the true root, and converged holds when every column
+    converged.  column_converged and column_residual give each column's
+    flag and largest residual, as arrays of length M.
     """
 
-    roots: tuple[complex, ...] | np.ndarray
+    roots: np.ndarray
     max_residual: float
     converged: bool
     column_converged: np.ndarray
@@ -165,10 +164,8 @@ def all_roots(coefficients: Sequence) -> RootSet:
     returns its best iterates with converged=False rather than raising; one
     that reaches a non-finite iterate stops there, with residual NaN.
     """
-    coeffs = np.array(coefficients, dtype=complex)
-    single = coeffs.ndim == 1
-    # one polynomial per row from here on
-    coeffs = coeffs.reshape(len(coeffs), -1).T
+    # one polynomial per row from here on, a single one included
+    coeffs = np.array(coefficients, dtype=complex).reshape(len(coefficients), -1).T
     nonzero = np.flatnonzero(coeffs.any(axis=0))
     if not nonzero.size:
         raise ZeroPolynomial("cannot find roots of the zero polynomial")
@@ -187,7 +184,7 @@ def all_roots(coefficients: Sequence) -> RootSet:
             roots[finite], residuals[finite] = _polish(coeffs[finite], roots[finite])
 
     return RootSet(
-        roots=tuple(roots[0].tolist()) if single else roots.T,
+        roots=roots.T,
         max_residual=float(residuals.max()),
         converged=bool(converged.all()),
         column_converged=converged,

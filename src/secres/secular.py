@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyList, OrderMismatch, RootFindingFailure
+from .errors import EmptyList, OrderMismatch, failed_solve
 from .roots import all_roots
 from .series import MonicPolynomial, Polynomial
 
@@ -53,25 +53,22 @@ def reconstruct(series_list: Iterable[Polynomial]) -> MonicPolynomial:
 
 def eigenvalues_at(
     poly: MonicPolynomial, lams: Sequence[complex]
-) -> tuple[np.ndarray, dict[int, RootFindingFailure]]:
+) -> tuple[np.ndarray, dict[int, str]]:
     """All N roots in W at each coupling of a grid, one sorted row each.
 
     p_N, ..., p_1 are evaluated on the grid and one batch solve covers it;
     an overflow reads inf or nan, which the solve reports as a failure at
     that coupling, so numpy does not warn of it.  Returns the (len(lams), N)
     roots, each row by real part, ties by imaginary part in one stable sort
-    (equal keys such as 0.0 and -0.0 keep solver order), and the
-    RootFindingFailure of each coupling whose roots did not converge, keyed
-    by its index in lams.
+    (equal keys such as 0.0 and -0.0 keep solver order), and the message
+    of each coupling whose roots did not converge, keyed by its index in
+    lams.
     """
     grid = np.asarray(lams)
     with np.errstate(over="ignore", invalid="ignore"):
         values = [p.evaluate(grid) for p in reversed(poly.coefficients)]
     result = all_roots(values + [np.ones(grid.shape)])
-    failures = {
-        m: RootFindingFailure.of_solve(
-            "root iteration", f" at lambda={grid[m].item()!r}",
-            tuple(result.roots[:, m].tolist()), result.column_residual[m].item())
-        for m in np.flatnonzero(~result.column_converged).tolist()
-    }
+    failures = {m: failed_solve("root iteration", f" at lambda={grid[m].item()!r}",
+                                result.column_residual[m].item())
+                for m in np.flatnonzero(~result.column_converged).tolist()}
     return np.sort(result.roots.T, axis=1, kind="stable"), failures

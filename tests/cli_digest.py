@@ -46,10 +46,15 @@ PER_MODEL = (
     ("ep", "--orders", "10,20,30,40"),
     ("table1",),
 )
-# the resummed columns overflow past the first coupling: the grid failure text
+# the resummed columns overflow past the first coupling: the grid failure
+# text; then malformed --orders values, which exit 2 naming the flag
 ZHENG3_ONLY = (
     ("sweep", "--orders", "2,10", "--lambda-min", "0", "--lambda-max", "1e200",
      "--steps", "3"),
+    ("ep", "--orders", "6,"),
+    ("ep", "--orders", "4,4"),
+    ("sweep", "--orders", "4,4"),
+    ("sweep", "--orders", "2,x"),
 )
 
 

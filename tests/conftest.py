@@ -29,7 +29,7 @@ def charpoly_roots_at(cp, lam):
     it."""
     result = all_roots([p.evaluate(lam) for p in reversed(cp.coefficients)] + [1.0])
     assert result.converged, result.max_residual
-    return sorted(result.roots, key=lambda z: (z.real, z.imag))
+    return sorted(result.roots[:, 0].tolist(), key=lambda z: (z.real, z.imag))
 
 
 def pytest_collection_modifyitems(items):

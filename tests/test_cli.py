@@ -9,7 +9,6 @@ from secres import (
     MatrixModel,
     MonicPolynomial,
     Polynomial,
-    RootFindingFailure,
     characteristic_polynomial,
     discriminant,
     exceptional_points,
@@ -357,11 +356,11 @@ def sweep_rows(capsys, tmp_path):
 
 
 def failing_at(solve, bad_lambda, order=None):
-    """solve, but with a RootFindingFailure at one coupling (and order)."""
+    """solve, but with a failure message at one coupling (and order)."""
     def patched(poly, lams):
         roots, failures = solve(poly, lams)
         if order is None or poly.coefficients[0].degree == order:
-            failures[lams.index(bad_lambda)] = RootFindingFailure("a, b")
+            failures[lams.index(bad_lambda)] = "a, b"
         return roots, failures
     return patched
 
@@ -394,6 +393,48 @@ def test_bad_order_arguments_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ValueError: ")
+
+
+@pytest.mark.parametrize("command", ["ep", "sweep"])
+@pytest.mark.parametrize("orders, message", [
+    ("6,", "--orders takes comma-separated integers, got '6,'"),
+    (",6", "--orders takes comma-separated integers, got ',6'"),
+    ("2,,4", "--orders takes comma-separated integers, got '2,,4'"),
+    ("2,x", "--orders takes comma-separated integers, got '2,x'"),
+    ("4.5", "--orders takes comma-separated integers, got '4.5'"),
+    ("4,4", "--orders repeats an order in '4,4'"),
+    ("2, 4,2", "--orders repeats an order in '2, 4,2'"),
+])
+def test_malformed_orders_exit_2_naming_the_flag(capsys, command, orders, message):
+    # an empty item is not order 0, and a repeated order would repeat its
+    # sweep columns or ep entry
+    code, out, err = run(capsys, command, "--model", MODEL, "--orders", orders)
+    assert (code, out) == (2, "")
+    assert err == f"error: ValueError: {message}\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("ep", "order must be non-negative, got -2"),
+    ("sweep", "orders must be >= 0, got -2"),
+])
+def test_negative_order_exits_2(capsys, command, message):
+    code, out, err = run(capsys, command, "--model", MODEL, "--orders", "4,-2")
+    assert (code, out) == (2, "")
+    assert err == f"error: ValueError: {message}\n"
+
+
+def test_orders_keep_their_given_order(capsys):
+    # spaces around an order are allowed and the orders need not ascend
+    code, out, err = run(capsys, "ep", "--model", MODEL, "--orders", " 4, 2 ")
+    assert (code, err) == (0, "")
+    assert [entry["order"] for entry in json.loads(out)["orders"]] == [4, 2]
+    code, out, err = run(
+        capsys, "sweep", "--model", MODEL, "--orders", " 4, 2 ", "--steps", "3"
+    )
+    assert (code, err) == (0, "")
+    assert out.split("\n")[0] == (
+        "lambda,exact_1,exact_2,exact_3,eff_K4_1,eff_K4_2,eff_K2_1,eff_K2_2,error"
+    )
 
 
 def test_ep_report_matches_library(capsys, zheng3):
@@ -736,3 +777,18 @@ def test_golden_output(capsys, name, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_parser_built_once_for_many_commands(capsys):
+    # a caller that drives main in a loop pays for one parser, not one per
+    # command, and a reused parser gives every command its own arguments
+    cli.build_parser.cache_clear()
+    for name, argv in [
+        ("table1.txt", ("table1",)),
+        ("charpoly.txt", ("charpoly", "--model", MODEL)),
+        ("table1.txt", ("table1",)),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+    assert cli.build_parser.cache_info().misses == 1

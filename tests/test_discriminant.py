@@ -7,6 +7,7 @@ import pytest
 from secres import (
     DegreeTooSmall,
     EmptyList,
+    InvariantViolation,
     MatrixModel,
     MonicPolynomial,
     Polynomial,
@@ -19,8 +20,9 @@ from secres import (
     reconstruct,
     validate,
 )
+from secres.cli import main
 
-from conftest import charpoly_roots_at, roots_at
+from conftest import ZHENG3_PATH, charpoly_roots_at, roots_at
 from oracles import (
     cofactor_det,
     cubic_discriminant_value,
@@ -144,6 +146,26 @@ def test_cached_determinant_equals_plain_expansion(monkeypatch, dim):
     plain = cofactor_det(bezout)
     assert bits(cached(bezout)) == bits(plain)
     assert bits(disc) == bits(plain.trimmed())
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_discriminant_degree_cap(monkeypatch, capsys, zheng3, excess):
+    # N (N - 1) times the largest lambda degree of a p_j bounds the degree;
+    # a determinant above it is a fault of the arithmetic, so ep exits 3
+    cp = characteristic_polynomial(zheng3)
+    cap = 3 * 2 * max(p.trimmed().degree for p in cp.coefficients)
+    degree = cap + excess
+    module = importlib.import_module("secres.discriminant")
+    det = Polynomial((0.0,) * degree + (1.0,))
+    monkeypatch.setattr(module, "_det", lambda matrix: det)
+    if not excess:
+        assert discriminant(cp).degree == cap
+        return
+    message = f"discriminant degree {degree} exceeds cap {cap}"
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        discriminant(cp)
+    assert main(["ep", "--model", str(ZHENG3_PATH), "--exact"]) == 3
+    assert capsys.readouterr() == ("", f"error: InvariantViolation: {message}\n")
 
 
 def test_exact_discriminant_is_even(zheng3):

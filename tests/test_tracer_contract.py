@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from secres import cli
+from secres import cli, discriminant, p_space_series, reconstruct
 
 from conftest import ZHENG3_PATH
 
@@ -93,6 +93,35 @@ def test_sweep_run_records_one_root_solve_per_column(tmp_path):
         assert degree == 2
         assert type(max_residual) is float
         assert converged is True
+
+
+def test_ep_run_records_the_discriminant_solve(tmp_path, zheng3):
+    """A lone solve is a batch of one: the degree the tracer reads,
+    len(result.roots), is the discriminant's lambda degree, and the
+    summaries are a float and a bool."""
+    tracer = load_tracer()
+    calls = []
+    observe = tracer._OBSERVERS["roots.all_roots"]
+
+    def recording(counters, args, result):
+        calls.append((len(result.roots), result.max_residual, result.converged))
+        observe(counters, args, result)
+
+    tracer._OBSERVERS["roots.all_roots"] = recording
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        code = cli.main([
+            "ep", "--model", str(ZHENG3_PATH), "--orders", "6",
+            "--out", str(tmp_path / "ep.json"),
+        ])
+    finally:
+        recorder.remove()
+    assert code == 0
+    ((degree, max_residual, converged),) = calls
+    assert degree == discriminant(reconstruct(p_space_series(zheng3, 6))).degree
+    assert type(max_residual) is float
+    assert type(converged) is bool
 
 
 @pytest.mark.parametrize("argv", [
