@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -116,11 +117,10 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     value gives none.  Anything else raises a ValueError quoting the text."""
     if not text.strip():
         return ()
-    try:
-        orders = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(
-            f"--orders takes comma-separated integers, got {text!r}") from None
+    parts = [part.strip() for part in text.split(",")]
+    if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
+        raise ValueError(f"--orders takes comma-separated integers, got {text!r}")
+    orders = tuple(int(part) for part in parts)
     if len(set(orders)) < len(orders):
         raise ValueError(f"--orders repeats an order in {text!r}")
     return orders

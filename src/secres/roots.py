@@ -4,7 +4,10 @@ Aberth-Ehrlich iteration on every root at once avoids deflation error and
 needs no external eigensolver.  Each step updates all roots from the
 previous iterate (Aberth 1973; Bini 1996), so one numpy pass serves every
 root of a whole batch of polynomials of one degree, stored as the columns
-of a coefficient array.  Starting points sit on a circle of radius given by
+of a coefficient array.  The batch stays on the last, contiguous axis, from
+(degree+1, M) coefficients to (degree, M) roots: numpy's inner loops run
+fastest along the long axis, and a sweep solves 1001 polynomials of two or
+three roots at once.  Starting points sit on a circle of radius given by
 the Cauchy bound, rotated by an irrational angle so that no initial guess
 lands on a symmetry axis of the root set.  Multiple roots come back as
 near-coincident simple roots.  Clustering them and wording a failed solve
@@ -18,7 +21,7 @@ These are the operations of the textbook loop, in its order and from the
 same two zero planes, so p and p' are bit-identical to that loop run over
 two or more points.  Every shape, a single point included, goes through
 numpy's vector loop, so a polynomial's roots are bit-identical whether it
-is solved alone or as a column of a batch, at every degree.
+is solved alone or as a column of a batch, at every degree and size.
 """
 
 from __future__ import annotations
@@ -56,16 +59,16 @@ class RootSet:
 
 
 def _horner(coeffs: np.ndarray, shape: tuple[int, int]):
-    """A function of z that returns p(z) and p'(z) for the rows of coeffs.
+    """A function of z that returns p(z) and p'(z) for the columns of coeffs.
 
-    coeffs is (M, degree+1) ascending and z has the given (M, n) shape.  The
-    workspace is built once; p and p' come back as views into it, valid
-    until the next call.
+    coeffs is (degree+1, M) ascending, one polynomial per column, and z has
+    the given (n, M) shape.  The workspace is built once; p and p' come back
+    as views into it, valid until the next call.
     """
-    planes = np.empty((coeffs.shape[1] + 2, *shape), dtype=complex)
+    planes = np.empty((coeffs.shape[0] + 2, *shape), dtype=complex)
     windows = [planes[k : k + 2] for k in range(len(planes) - 1)]
     steps = list(zip(windows, windows[1:]))
-    descending = np.broadcast_to(coeffs.T[::-1, :, None], planes[2:].shape)
+    descending = np.broadcast_to(coeffs[::-1, None, :], planes[2:].shape)
     zz = np.empty((2, *shape), dtype=complex)
     product = np.empty_like(zz)
 
@@ -82,33 +85,45 @@ def _horner(coeffs: np.ndarray, shape: tuple[int, int]):
 
 
 def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Iterate every row until its largest relative step is below
+    """Iterate every column until its largest relative step is below
     DEFAULT_TOL, it reaches a non-finite iterate, or MAX_ITERATIONS pass.
 
-    Rows are polynomials: coeffs is (M, degree+1) and the roots (M, degree).
-    A row that stops is frozen and leaves the working arrays.  The repulsion
-    sum runs along the last, contiguous axis, so numpy adds each row's terms
-    in the same order whatever M is, and a row's roots do not depend on the
-    other rows.  Returns the roots and the converged and non-finite flags.
+    Columns are polynomials: coeffs is (degree+1, M) and the roots
+    (degree, M).  A column that stops is frozen and leaves the working
+    arrays.  The repulsion sum adds each column's terms in one order
+    whatever M is, so a column's roots do not depend on the other columns.
+    Returns the roots and the converged and non-finite flags.
     """
-    rows, degree = coeffs.shape[0], coeffs.shape[1] - 1
-    radius = 1.0 + np.max(np.abs(coeffs[:, :-1] / coeffs[:, -1:]), axis=1)
+    degree, columns = coeffs.shape[0] - 1, coeffs.shape[1]
+    radius = 1.0 + np.max(np.abs(coeffs[:-1] / coeffs[-1:]), axis=0)
     circle = np.exp(2j * np.pi * (np.arange(degree) / degree + _ANGLE_OFFSET))
-    roots = radius[:, None] * circle
-    converged = np.zeros(rows, dtype=bool)
-    failed = np.zeros(rows, dtype=bool)
+    roots = radius * circle[:, None]
+    converged = np.zeros(columns, dtype=bool)
+    failed = np.zeros(columns, dtype=bool)
 
-    active = np.arange(rows)
+    active = np.arange(columns)
     z, c = roots, coeffs
     horner = _horner(c, z.shape)
     for _ in range(MAX_ITERATIONS):
         p, dp = horner(z)
         newton = p / dp
-        diff = z[:, :, None] - z[:, None, :]
+        diff = z[:, None, :] - z[None, :, :]  # [i, j, m] = z_i - z_j
         coincide = diff == 0
         inverse = np.divide(1.0, diff, out=diff)  # in place: the largest array
         inverse[coincide] = 0.0
-        denominator = 1.0 - newton * inverse.sum(axis=2)
+        # The sum over j must add a column's terms in the order numpy uses
+        # for a lone polynomial, whose j axis is contiguous.  numpy sums a
+        # contiguous complex axis pairwise (left to right below 4 terms) and
+        # a strided one left to right, so j is summed where it lies below
+        # degree 4 or when M is 1, and is copied to the last axis otherwise.
+        if degree < 4 or z.shape[1] == 1:
+            repulsion = inverse.sum(axis=1)
+        else:
+            repulsion = np.ascontiguousarray(inverse.transpose(0, 2, 1)).sum(axis=2)
+        # keep the sum named: numpy multiplies into an unnamed temporary of
+        # 256 KiB or more in place, without the fused multiply-add of its
+        # vector loop, and a large batch would round unlike a lone polynomial
+        denominator = 1.0 - newton * repulsion
         step = newton / denominator
         flat = denominator == 0
         step[flat] = newton[flat]
@@ -122,25 +137,25 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         relative = np.abs(step) / (1.0 + np.abs(z))
         relative[stalled] = nudge
 
-        bad = ~np.isfinite(z).all(axis=1)
-        done = relative.max(axis=1) < DEFAULT_TOL
+        bad = ~np.isfinite(z).all(axis=0)
+        done = relative.max(axis=0) < DEFAULT_TOL
         stop = done | bad
         if stop.any():
             leaving = active[stop]
-            roots[leaving] = z[stop]
+            roots[:, leaving] = z[:, stop]
             converged[leaving] = done[stop]
             failed[leaving] = bad[stop]
             keep = ~stop
-            active, z, c = active[keep], z[keep], c[keep]
+            active, z, c = active[keep], z[:, keep], c[:, keep]
             if not active.size:
                 break
             horner = _horner(c, z.shape)
-    roots[active] = z
+    roots[:, active] = z
     return roots, converged, failed
 
 
 def _polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Three Newton steps per root, then each row's largest |p/p'|."""
+    """Three Newton steps per root, then each column's largest |p/p'|."""
     horner = _horner(coeffs, z.shape)
     moving = np.ones(z.shape, dtype=bool)
     for _ in range(3):
@@ -148,9 +163,9 @@ def _polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         moving &= (dp != 0) & (p != 0)
         z = np.where(moving, z - p / dp, z)
     p, dp = horner(z)
-    scale = np.where(dp != 0, np.abs(dp), np.abs(coeffs[:, -1:]))
+    scale = np.where(dp != 0, np.abs(dp), np.abs(coeffs[-1:]))
     residual = np.where(scale != 0, np.abs(p) / scale, np.abs(p))
-    return z, residual.max(axis=1)
+    return z, residual.max(axis=0)
 
 
 def all_roots(coefficients: Sequence) -> RootSet:
@@ -164,30 +179,30 @@ def all_roots(coefficients: Sequence) -> RootSet:
     returns its best iterates with converged=False rather than raising; one
     that reaches a non-finite iterate stops there, with residual NaN.
     """
-    # one polynomial per row from here on, a single one included
-    coeffs = np.array(coefficients, dtype=complex).reshape(len(coefficients), -1).T
-    nonzero = np.flatnonzero(coeffs.any(axis=0))
+    # one polynomial per column from here on, a single one included
+    coeffs = np.array(coefficients, dtype=complex).reshape(len(coefficients), -1)
+    nonzero = np.flatnonzero(coeffs.any(axis=1))
     if not nonzero.size:
         raise ZeroPolynomial("cannot find roots of the zero polynomial")
-    coeffs = coeffs[:, : nonzero[-1] + 1]
-    rows, degree = coeffs.shape[0], coeffs.shape[1] - 1
+    coeffs = coeffs[: nonzero[-1] + 1]
+    degree, columns = coeffs.shape[0] - 1, coeffs.shape[1]
 
     if degree == 0:
-        roots = np.empty((rows, 0), dtype=complex)
-        converged = np.ones(rows, dtype=bool)
-        residuals = np.zeros(rows)
+        roots = np.empty((0, columns), dtype=complex)
+        converged = np.ones(columns, dtype=bool)
+        residuals = np.zeros(columns)
     else:
         with np.errstate(all="ignore"):
             roots, converged, failed = _aberth(coeffs)
-            residuals = np.full(rows, np.nan)
+            residuals = np.full(columns, np.nan)
             finite = ~failed
-            roots[finite], residuals[finite] = _polish(coeffs[finite], roots[finite])
+            roots[:, finite], residuals[finite] = _polish(
+                coeffs[:, finite], roots[:, finite])
 
     return RootSet(
-        roots=roots.T,
+        roots=roots,
         max_residual=float(residuals.max()),
         converged=bool(converged.all()),
         column_converged=converged,
         column_residual=residuals,
     )
-

@@ -402,12 +402,16 @@ def test_bad_order_arguments_exit_2(capsys, argv):
     ("2,,4", "--orders takes comma-separated integers, got '2,,4'"),
     ("2,x", "--orders takes comma-separated integers, got '2,x'"),
     ("4.5", "--orders takes comma-separated integers, got '4.5'"),
+    ("1_0", "--orders takes comma-separated integers, got '1_0'"),
+    ("+4", "--orders takes comma-separated integers, got '+4'"),
+    ("\u0664", "--orders takes comma-separated integers, got '\u0664'"),
     ("4,4", "--orders repeats an order in '4,4'"),
     ("2, 4,2", "--orders repeats an order in '2, 4,2'"),
 ])
 def test_malformed_orders_exit_2_naming_the_flag(capsys, command, orders, message):
-    # an empty item is not order 0, and a repeated order would repeat its
-    # sweep columns or ep entry
+    # an empty item is not order 0, a repeated order would repeat its sweep
+    # columns or ep entry, and an order is ASCII digits with an optional
+    # minus: no digit separators, plus signs or other scripts' digits
     code, out, err = run(capsys, command, "--model", MODEL, "--orders", orders)
     assert (code, out) == (2, "")
     assert err == f"error: ValueError: {message}\n"

@@ -141,16 +141,21 @@ def test_non_finite_iterate_is_not_converged():
     assert np.isnan(result.max_residual)
 
 
-@pytest.mark.parametrize("degree", [1, 6])
-def test_batch_columns_match_solo_solves(degree):
+# degree 3 and 4 straddle the length at which numpy's sum of a contiguous
+# complex axis turns pairwise; 16 x 1024 roots fill the 256 KiB temporary
+# that numpy multiplies into in place, and only a sample is solved alone
+@pytest.mark.parametrize("degree, columns, sample", [
+    (1, 1001, 1), (3, 1001, 1), (4, 1001, 1), (6, 1001, 1), (16, 1024, 31),
+], ids=["1", "3", "4", "6", "16x1024"])
+def test_batch_columns_match_solo_solves(degree, columns, sample):
     rng = np.random.default_rng(211)
-    shape = (degree + 1, 1001)
+    shape = (degree + 1, columns)
     # a leading coefficient other than 1 makes every Horner product round
     coefficients = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
     batch = all_roots(coefficients)
-    assert batch.roots.shape == (degree, 1001)
-    assert batch.column_converged.shape == batch.column_residual.shape == (1001,)
-    for m in range(1001):
+    assert batch.roots.shape == (degree, columns)
+    assert batch.column_converged.shape == batch.column_residual.shape == (columns,)
+    for m in [*range(0, columns - 1, sample), columns - 1]:
         solo = all_roots(coefficients[:, m])
         assert solo.roots.shape == (degree, 1)
         assert solo.roots[:, 0].tolist() == batch.roots[:, m].tolist()
@@ -224,31 +229,32 @@ def _signed_parts(rng, shape, decades):
     return out
 
 
-@pytest.mark.parametrize("rows", [1, 7, 1001])
-def test_horner_workspace_matches_textbook_loop(rows):
+@pytest.mark.parametrize("columns", [1, 7, 1001])
+def test_horner_workspace_matches_textbook_loop(columns):
     # the window must reproduce the textbook loop bit for bit: signed zeros,
-    # overflow (parts up to 1e8) and the single-point case (rows 1, degree 1)
+    # overflow (parts up to 1e8) and the single-point case (one column, degree 1)
     # included; parts of one size let a product's rounding show in the sum.
     # numpy multiplies a one-element array in place without the fused
-    # multiply-add of its vector loop, so a single row is stacked twice to
+    # multiply-add of its vector loop, so a single column is stacked twice to
     # run the reference in the vector loop, as every batch does
-    rng = np.random.default_rng(rows)
-    degrees = range(1, 81) if rows < 1001 else range(1, 13)
+    rng = np.random.default_rng(columns)
+    degrees = range(1, 81) if columns < 1001 else range(1, 13)
     for degree in degrees:
         for decades in (0, 8):
-            coeffs = _signed_parts(rng, (rows, degree + 1), decades)
-            evaluate = _horner(coeffs, (rows, degree))
+            coeffs = _signed_parts(rng, (degree + 1, columns), decades)
+            evaluate = _horner(coeffs, (degree, columns))
             # later calls reuse the workspace; degree 1 has a single
             # product per call, so it gets more points
             for _ in range(50 if degree == 1 else 2):
-                z = _signed_parts(rng, (rows, degree), decades)
+                z = _signed_parts(rng, (degree, columns), decades)
                 z[rng.random(z.shape) < 0.1] = 0.0
                 with np.errstate(all="ignore"):
-                    if rows == 1:
-                        twice = horner_pair(np.vstack([coeffs] * 2), np.vstack([z] * 2))
-                        want = [plane[:1] for plane in twice]
+                    # the oracle takes one polynomial per row
+                    if columns == 1:
+                        twice = horner_pair(np.hstack([coeffs] * 2).T, np.hstack([z] * 2).T)
+                        want = [plane[:1].T for plane in twice]
                     else:
-                        want = horner_pair(coeffs, z)
+                        want = [plane.T for plane in horner_pair(coeffs.T, z.T)]
                     got = evaluate(z)
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
