@@ -25,12 +25,7 @@ from .errors import (
     ValidationError,
     ZeroPolynomial,
 )
-from .model import (
-    MatrixModel,
-    interaction_matrix,
-    load_model,
-    validate,
-)
+from .model import MatrixModel, interaction_matrix, load_model
 from .roots import RootSet, all_roots
 from .rspt import p_space_series, perturbation_series
 from .secular import eigenvalues_at, reconstruct
@@ -69,5 +64,4 @@ __all__ = [
     "p_space_series",
     "perturbation_series",
     "reconstruct",
-    "validate",
 ]

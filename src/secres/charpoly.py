@@ -20,7 +20,7 @@ from .series import MonicPolynomial, Polynomial
 
 
 def characteristic_polynomial(model: MatrixModel) -> MonicPolynomial:
-    """Exact characteristic polynomial of a validated model.
+    """Exact characteristic polynomial of a model.
 
     det(E*I - H) by the Faddeev-LeVerrier recursion: step k multiplies H by
     the auxiliary matrix, whose coefficient stack has k slices, and the only

@@ -102,9 +102,6 @@ class SweepSpec:
                 f"no finite grid from lambda_min ({self.lambda_min}) to "
                 f"lambda_max ({self.lambda_max}) in {self.steps} steps"
             )
-        for k in self.orders:
-            if k < 0:
-                raise ValueError(f"orders must be >= 0, got {k}")
 
 
 def bundled_model_path() -> Path:

@@ -59,7 +59,7 @@ class ZeroPolynomial(SecresError):
 
 
 class InvariantViolation(SecresError):
-    """An internal numerical invariant does not hold for a validated model.
+    """An internal numerical invariant does not hold for a model.
 
     Raised for a non-finite coefficient and for a discriminant degree above
     its bound: failures of the arithmetic, not of the input.

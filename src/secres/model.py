@@ -66,14 +66,62 @@ class MatrixModel:
     interaction: tuple[tuple[int, int, float], ...]
     p_space: tuple[int, ...]
 
+    def __post_init__(self):
+        """Check every structural invariant, so that building a model is
+        validating it.
+
+        Raises a ValidationError subclass naming the violated invariant and
+        the offending indices.
+        """
+        dim = self.dimension
+        if len(self.h0_diagonal) != dim:
+            raise ModelFormatError(f"h0_diagonal has {len(self.h0_diagonal)} "
+                                   f"entries, expected dimension={dim}")
+        if dim < 1:
+            raise ModelFormatError(f"dimension must be positive, got {dim}")
+        for value in self.h0_diagonal:
+            if not isfinite(value):
+                raise ModelFormatError(f"non-finite diagonal entry {value!r}")
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                if self.h0_diagonal[a] == self.h0_diagonal[b]:
+                    raise DegenerateUnperturbed(
+                        f"h0_diagonal entries {a + 1} and {b + 1} are both "
+                        f"{self.h0_diagonal[a]!r}"
+                    )
+        seen: set[tuple[int, int]] = set()
+        for i, j, value in self.interaction:
+            if not isfinite(value):
+                raise ModelFormatError(f"non-finite interaction value at ({i}, {j})")
+            if i == j:
+                raise DiagonalInteraction(f"interaction entry ({i}, {j}) is diagonal")
+            if not (1 <= i <= dim) or not (1 <= j <= dim):
+                raise IndexOutOfRange(
+                    f"interaction entry ({i}, {j}) outside 1..{dim}"
+                )
+            pair = (min(i, j), max(i, j))
+            if pair in seen:
+                raise DuplicateEntry(f"interaction pair ({i}, {j}) appears twice")
+            seen.add(pair)
+        if not self.p_space:
+            raise EmptyPSpace("p_space must contain at least one state")
+        seen_p: set[int] = set()
+        for n in self.p_space:
+            if not (1 <= n <= dim):
+                raise IndexOutOfRange(f"p_space index {n} outside 1..{dim}")
+            if n in seen_p:
+                raise DuplicateEntry(f"p_space index {n} appears twice")
+            seen_p.add(n)
+
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "MatrixModel":
-        """Build a model from the JSON-file representation (unvalidated).
+        """Build a model from the JSON-file representation.
 
         The dimension and every index must be integers, the energies and
         couplings numbers, and the three lists arrays; anything else raises
         ModelFormatError naming the field: 3.9 is no dimension and 2.0 no
-        index, and a string is not split into entries.
+        index, and a string is not split into entries.  The model's own
+        invariants are then checked at construction.
         """
         try:
             dimension = _number(data["dimension"], "dimension", int)
@@ -86,66 +134,16 @@ class MatrixModel:
                             for n in _array(data["p_space"], "p_space"))
         except KeyError as exc:
             raise ModelFormatError(f"malformed model data: {exc}") from exc
-        if len(h0) != dimension:
-            raise ModelFormatError(
-                f"h0_diagonal has {len(h0)} entries, expected dimension={dimension}"
-            )
         return cls(dimension, h0, interaction, p_space)
 
 
-def validate(model: MatrixModel) -> MatrixModel:
-    """Check every structural invariant; return the model unchanged if valid.
-
-    Raises a ValidationError subclass naming the violated invariant and the
-    offending indices.  Validating an already-valid model returns the
-    identical object, so the operation is idempotent.
-    """
-    dim = model.dimension
-    if dim < 1:
-        raise ModelFormatError(f"dimension must be positive, got {dim}")
-    for value in model.h0_diagonal:
-        if not isfinite(value):
-            raise ModelFormatError(f"non-finite diagonal entry {value!r}")
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            if model.h0_diagonal[a] == model.h0_diagonal[b]:
-                raise DegenerateUnperturbed(
-                    f"h0_diagonal entries {a + 1} and {b + 1} are both "
-                    f"{model.h0_diagonal[a]!r}"
-                )
-    seen: set[tuple[int, int]] = set()
-    for i, j, value in model.interaction:
-        if not isfinite(value):
-            raise ModelFormatError(f"non-finite interaction value at ({i}, {j})")
-        if i == j:
-            raise DiagonalInteraction(f"interaction entry ({i}, {j}) is diagonal")
-        if not (1 <= i <= dim) or not (1 <= j <= dim):
-            raise IndexOutOfRange(
-                f"interaction entry ({i}, {j}) outside 1..{dim}"
-            )
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            raise DuplicateEntry(f"interaction pair ({i}, {j}) appears twice")
-        seen.add(pair)
-    if not model.p_space:
-        raise EmptyPSpace("p_space must contain at least one state")
-    seen_p: set[int] = set()
-    for n in model.p_space:
-        if not (1 <= n <= dim):
-            raise IndexOutOfRange(f"p_space index {n} outside 1..{dim}")
-        if n in seen_p:
-            raise DuplicateEntry(f"p_space index {n} appears twice")
-        seen_p.add(n)
-    return model
-
-
 def load_model(path: str | Path) -> MatrixModel:
-    """Read a model JSON file and validate it."""
+    """Read a model JSON file; the model checks its own invariants."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ModelFormatError("model file must contain a JSON object")
-    return validate(MatrixModel.from_dict(data))
+    return MatrixModel.from_dict(data)
 
 
 def interaction_matrix(model: MatrixModel) -> np.ndarray:

@@ -31,7 +31,6 @@ def perturbation_series(
 ) -> Polynomial:
     """Order-K eigenvalue expansion for one unperturbed state (1-based index).
 
-    The model must already be validated (distinct diagonal energies).
     A coefficient that overflows to a non-finite value raises InvariantViolation.
     """
     if not (1 <= state_index <= model.dimension):

@@ -93,7 +93,7 @@ class Polynomial:
 
     def evaluate(self, lam: complex) -> complex:
         """Horner evaluation at a (complex) coupling."""
-        acc = 0.0 + 0.0j if isinstance(lam, complex) else 0.0
+        acc = 0.0
         for c in reversed(self.coefficients):
             acc = acc * lam + c
         return acc

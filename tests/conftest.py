@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from secres import MatrixModel, all_roots, load_model, validate
+from secres import MatrixModel, all_roots, load_model
 from secres.cli import bundled_model_path
 
 TESTS_DIR = Path(__file__).parent
@@ -52,4 +52,4 @@ def zheng3() -> MatrixModel:
 @pytest.fixture()
 def small_model() -> MatrixModel:
     """2x2 single-coupling model with an exact hand determinant."""
-    return validate(MatrixModel(2, (0.0, 1.0), ((1, 2, 1.0),), (1,)))
+    return MatrixModel(2, (0.0, 1.0), ((1, 2, 1.0),), (1,))

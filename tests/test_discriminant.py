@@ -18,7 +18,6 @@ from secres import (
     nearest_exceptional_point,
     p_space_series,
     reconstruct,
-    validate,
 )
 from secres.cli import main
 
@@ -108,7 +107,7 @@ def test_exact_discriminant_matches_cubic_formula(zheng3):
 def test_exact_discriminant_matches_eigenvalue_gaps(dim):
     rng = np.random.default_rng(100 + dim)
     h0, interaction = random_model_data(rng, dim)
-    model = validate(MatrixModel(dim, h0, interaction, (1,)))
+    model = MatrixModel(dim, h0, interaction, (1,))
     disc = discriminant(characteristic_polynomial(model))
     for lam in (0.3 + 0.2j, -0.45 + 0.7j):
         energies = np.linalg.eigvals(hamiltonian_at(model, lam))
@@ -139,7 +138,7 @@ def test_cached_determinant_equals_plain_expansion(monkeypatch, dim):
     monkeypatch.setattr(module, "_det", recording)
     rng = np.random.default_rng(100 + dim)
     h0, interaction = random_model_data(rng, dim)
-    model = validate(MatrixModel(dim, h0, interaction, (1,)))
+    model = MatrixModel(dim, h0, interaction, (1,))
     disc = discriminant(characteristic_polynomial(model))
     (bezout,) = matrices
     assert len(bezout) == dim

@@ -13,7 +13,6 @@ from secres import (
     ModelFormatError,
     interaction_matrix,
     load_model,
-    validate,
 )
 
 from oracles import hamiltonian_at, model_to_dict
@@ -36,50 +35,45 @@ def test_toy_model_is_valid(zheng3):
     assert zheng3.p_space == (2, 3)
 
 
-def test_validate_returns_identical_object(zheng3):
-    assert validate(zheng3) is zheng3
-    assert validate(validate(zheng3)) is zheng3
-
-
 def test_degenerate_diagonal_rejected():
     with pytest.raises(DegenerateUnperturbed, match="1 and 2"):
-        validate(model_with(h0_diagonal=(1.0, 1.0, 2.0)))
+        model_with(h0_diagonal=(1.0, 1.0, 2.0))
 
 
 def test_diagonal_interaction_rejected():
     with pytest.raises(DiagonalInteraction, match=r"\(2, 2\)"):
-        validate(model_with(interaction=((1, 2, 1.0), (2, 2, 0.5))))
+        model_with(interaction=((1, 2, 1.0), (2, 2, 0.5)))
 
 
 def test_out_of_range_interaction_rejected():
     with pytest.raises(IndexOutOfRange):
-        validate(model_with(interaction=((1, 4, 1.0),)))
+        model_with(interaction=((1, 4, 1.0),))
 
 
 def test_duplicate_interaction_rejected():
     with pytest.raises(DuplicateEntry):
-        validate(model_with(interaction=((1, 2, 1.0), (1, 2, 0.5))))
+        model_with(interaction=((1, 2, 1.0), (1, 2, 0.5)))
 
 
 def test_mirrored_duplicate_rejected():
     # (2, 1) names the same symmetric entry as (1, 2)
     with pytest.raises(DuplicateEntry):
-        validate(model_with(interaction=((1, 2, 1.0), (2, 1, 0.5))))
+        model_with(interaction=((1, 2, 1.0), (2, 1, 0.5)))
 
 
 def test_empty_p_space_rejected():
     with pytest.raises(EmptyPSpace):
-        validate(model_with(p_space=()))
+        model_with(p_space=())
 
 
 def test_duplicate_p_space_rejected():
     with pytest.raises(DuplicateEntry):
-        validate(model_with(p_space=(2, 2)))
+        model_with(p_space=(2, 2))
 
 
 def test_p_space_out_of_range_rejected():
     with pytest.raises(IndexOutOfRange):
-        validate(model_with(p_space=(4,)))
+        model_with(p_space=(4,))
 
 
 def test_wrong_h0_length_rejected():
@@ -92,6 +86,25 @@ def test_wrong_h0_length_rejected():
                 "p_space": [1],
             }
         )
+
+
+@pytest.mark.parametrize("h0_diagonal", [(2.0, 1.1), (2.0, 1.1, 1.0, 0.5)])
+def test_wrong_h0_length_rejected_at_construction(h0_diagonal):
+    # built in code, a short diagonal once raised IndexError in the degeneracy
+    # check, and a long one ran until numpy failed to broadcast it
+    with pytest.raises(ModelFormatError) as info:
+        model_with(h0_diagonal=h0_diagonal)
+    assert str(info.value) == (
+        f"h0_diagonal has {len(h0_diagonal)} entries, expected dimension=3"
+    )
+
+
+def test_interaction_index_zero_rejected():
+    # built in code, index 0 once went unchecked and wrapped to the last row
+    # in interaction_matrix, coupling states (2, 3)
+    with pytest.raises(IndexOutOfRange) as info:
+        MatrixModel(3, (2.0, 1.1, 1.0), ((0, 2, 1.0),), (2, 3))
+    assert str(info.value) == "interaction entry (0, 2) outside 1..3"
 
 
 ZHENG3_DATA = {

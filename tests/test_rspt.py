@@ -16,7 +16,7 @@ from oracles import (
     rspt_energies,
     second_order_coefficient,
 )
-from secres import MatrixModel, validate
+from secres import MatrixModel
 
 TOY_COUPLINGS = {(1, 2): 1.0, (2, 3): 1.0}
 TOY_H0 = (2.0, 1.1, 1.0)
@@ -40,7 +40,7 @@ def test_random_models_second_order_matches_closed_form():
     for _ in range(10):
         dim = int(rng.integers(2, 6))
         h0, interaction = random_model_data(rng, dim)
-        model = validate(MatrixModel(dim, h0, interaction, (1,)))
+        model = MatrixModel(dim, h0, interaction, (1,))
         couplings = {(i, j): v for i, j, v in interaction}
         for n in range(1, dim + 1):
             series = perturbation_series(model, n, 2)
@@ -68,7 +68,7 @@ def test_negative_order_rejected(zheng3):
 
 def test_overflowing_series_rejected():
     # a 1e-200 gap makes the fourth-order coefficient overflow to inf
-    model = validate(MatrixModel(2, (0.0, 1e-200), ((1, 2, 1.0),), (1,)))
+    model = MatrixModel(2, (0.0, 1e-200), ((1, 2, 1.0),), (1,))
     with np.errstate(all="ignore"), pytest.raises(
         InvariantViolation, match="non-finite coefficient"
     ):
@@ -82,7 +82,7 @@ def test_p_space_series_follows_p_space_order(zheng3):
 
 
 def test_full_space_second_order_coefficients_cancel(zheng3):
-    full = validate(MatrixModel(3, zheng3.h0_diagonal, zheng3.interaction, (1, 2, 3)))
+    full = MatrixModel(3, zheng3.h0_diagonal, zheng3.interaction, (1, 2, 3))
     states = p_space_series(full, 2)
     total = sum(s.coefficients[2] for s in states)
     assert abs(total) < 1e-12
@@ -93,7 +93,7 @@ def test_full_space_second_order_coefficients_cancel(zheng3):
 def test_trace_identity_all_orders(zheng3):
     # the trace of H(lambda) is lambda-free, so summed coefficients vanish at
     # every order >= 1 up to rounding in the (large) individual coefficients
-    full = validate(MatrixModel(3, zheng3.h0_diagonal, zheng3.interaction, (1, 2, 3)))
+    full = MatrixModel(3, zheng3.h0_diagonal, zheng3.interaction, (1, 2, 3))
     states = p_space_series(full, 10)
     for order in range(1, 11):
         column = [s.coefficients[order] for s in states]
@@ -137,7 +137,7 @@ def test_taylor_consistency_against_exact_roots(zheng3):
 def test_series_bitwise_equal_to_double_loop(dim):
     rng = np.random.default_rng(400 + dim)
     h0, interaction = random_model_data(rng, dim)
-    model = validate(MatrixModel(dim, h0, interaction, (1,)))
+    model = MatrixModel(dim, h0, interaction, (1,))
     for state in range(1, dim + 1):
         got = perturbation_series(model, state, 40).coefficients
         want = rspt_energies(model, state, 40)

@@ -1,5 +1,8 @@
 import argparse
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from secres import (
     exact_eigenvalues_at,
     p_space_series,
     reconstruct,
-    validate,
 )
 from secres.cli import cmd_reconstruct
 
@@ -55,7 +57,7 @@ def test_reconstruct_single_series():
 def test_reconstruct_full_space_reproduces_exact_charpoly(zheng3):
     # reconstruction over ALL states at K=2 must equal the exact
     # characteristic polynomial, whose coefficients have lambda-degree <= 2
-    full = validate(MatrixModel(3, zheng3.h0_diagonal, zheng3.interaction, (1, 2, 3)))
+    full = MatrixModel(3, zheng3.h0_diagonal, zheng3.interaction, (1, 2, 3))
     poly = reconstruct(p_space_series(full, 2))
     cp = characteristic_polynomial(full)
     for series, exact in zip(poly.coefficients, cp.coefficients):
@@ -71,7 +73,7 @@ def test_reconstruct_at_zero_coupling_gives_elementary_symmetric():
 
     rng = np.random.default_rng(37)
     h0, interaction = random_model_data(rng, 4)
-    model = validate(MatrixModel(4, h0, interaction, (1, 3, 4)))
+    model = MatrixModel(4, h0, interaction, (1, 3, 4))
     poly = reconstruct(p_space_series(model, 3))
     energies = [h0[0], h0[2], h0[3]]
     for j, series in enumerate(poly.coefficients, start=1):
@@ -88,6 +90,31 @@ def test_reconstruct_is_symmetric_in_inputs(zheng3):
     forward = reconstruct(states)
     backward = reconstruct(states[::-1])
     assert forward == backward
+
+
+def benchmark_models():
+    """The seeded models of every benchmark workload, seeds 1-3."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks the module up by name while it is defined
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return [MatrixModel.from_dict(data)
+            for workload in workloads.WORKLOADS for seed in (1, 2, 3)
+            for data in workloads.seeded_models(workload, seed)]
+
+
+def test_reconstruct_truncates_inside_every_product(zheng3):
+    # no product term above the order is ever formed, so each p_j of order k
+    # is the first k+1 coefficients of p_j at order 40, bit for bit
+    for model in [zheng3] + benchmark_models():
+        high = reconstruct(p_space_series(model, 40)).coefficients
+        for k in (0, 1, 6, 20, 39):
+            low = reconstruct(p_space_series(model, k)).coefficients
+            assert [[c.hex() for c in p.coefficients] for p in low] == [
+                [c.hex() for c in p.coefficients[:k + 1]] for p in high
+            ], (model, k)
 
 
 def test_reconstruct_empty_raises():
