@@ -14,16 +14,13 @@ from .errors import (
     DegreeTooSmall,
     DiagonalInteraction,
     DuplicateEntry,
-    EmptyList,
     EmptyPSpace,
     IndexOutOfRange,
     InvariantViolation,
     ModelFormatError,
-    OrderMismatch,
     RootFindingFailure,
     SecresError,
     ValidationError,
-    ZeroPolynomial,
 )
 from .model import MatrixModel, interaction_matrix, load_model
 from .roots import RootSet, all_roots
@@ -38,20 +35,17 @@ __all__ = [
     "DegreeTooSmall",
     "DiagonalInteraction",
     "DuplicateEntry",
-    "EmptyList",
     "EmptyPSpace",
     "IndexOutOfRange",
     "InvariantViolation",
     "MatrixModel",
     "ModelFormatError",
     "MonicPolynomial",
-    "OrderMismatch",
     "Polynomial",
     "RootFindingFailure",
     "RootSet",
     "SecresError",
     "ValidationError",
-    "ZeroPolynomial",
     "all_roots",
     "characteristic_polynomial",
     "discriminant",

@@ -13,10 +13,11 @@ whatever the energy unit, so a real column never shows one.
 Each command is a function of the loaded model and its arguments that
 returns its text.  main alone loads the model, writes the text and a final
 newline to stdout or to the --out file (the same bytes either way), and
-maps exceptions to exit codes: 0 success, 1 I/O failure, 2 validation
-failure (a bad model or argument, or a model where no exceptional point can
-exist), 3 numerical failure (root finding, or an internal invariant such as
-a non-finite coefficient).  All output is deterministic for a fixed input
+maps exceptions to exit codes: 0 success, 1 I/O failure, 2 the input is
+at fault (every ValueError: a bad model or argument, or a model where no
+exceptional point can exist), 3 numerical failure (any other SecresError:
+root finding, or an internal invariant such as a non-finite coefficient).
+All output is deterministic for a fixed input
 and platform: no randomness, fixed iteration orders, fixed sorting
 conventions.  Floats in JSON reports are emitted as shortest-round-trip
 decimal strings so that no reader rounds them; CSV cells use
@@ -39,7 +40,7 @@ import numpy as np
 
 from .charpoly import characteristic_polynomial, exact_eigenvalues_at
 from .discriminant import discriminant, exceptional_points, nearest_exceptional_point
-from .errors import SecresError, ValidationError
+from .errors import SecresError
 from .model import MatrixModel, load_model
 from .rspt import p_space_series
 from .secular import eigenvalues_at, reconstruct
@@ -326,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

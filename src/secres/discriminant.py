@@ -21,7 +21,7 @@ from functools import cache
 from typing import Sequence
 
 from .errors import (
-    DegreeTooSmall, EmptyList, InvariantViolation, RootFindingFailure, failed_solve,
+    DegreeTooSmall, InvariantViolation, RootFindingFailure, failed_solve,
 )
 from .roots import all_roots
 from .series import MonicPolynomial, Polynomial
@@ -135,7 +135,7 @@ def nearest_exceptional_point(groups: Sequence[list[complex]]) -> complex:
     positive-real member, or groups[0][0] if there is none.
     """
     if not groups:
-        raise EmptyList("no exceptional points to choose from")
+        raise ValueError("no exceptional points to choose from")
     for z in groups[0]:
         if 0.0 <= cmath.phase(z) < cmath.pi:
             return z

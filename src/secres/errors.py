@@ -1,17 +1,22 @@
-"""Exception types shared across the package and the wording of a failed solve."""
+"""Exception types shared across the package and the wording of a failed solve.
+
+One rule sorts every fault: an input at fault raises a ValueError (a
+ValidationError, or a plain ValueError for a bad argument), and a failure
+of the arithmetic raises one of the other SecresError subclasses."""
 
 from math import isnan
 
 
 class SecresError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for the exception types defined here."""
 
 
-class ValidationError(SecresError):
-    """A matrix model violates a structural invariant.
+class ValidationError(SecresError, ValueError):
+    """The input is at fault: a matrix model violates a structural
+    invariant, or no exceptional point can exist for it.
 
-    Subclasses name the violated invariant; the message carries the
-    offending indices or values.
+    Subclasses name the fault; the message carries the offending indices
+    or values.
     """
 
 
@@ -39,23 +44,10 @@ class ModelFormatError(ValidationError):
     """A model file or dict is structurally malformed."""
 
 
-class OrderMismatch(SecresError):
-    """Two truncated series with different truncation orders were combined."""
-
-
-class EmptyList(SecresError):
-    """An operation that needs at least one element received none."""
-
-
-class DegreeTooSmall(SecresError, ValueError):
+class DegreeTooSmall(ValidationError):
     """No exceptional point can exist: an energy polynomial of degree < 2
     has no two eigenvalues to meet, and a discriminant constant in lambda
-    has no root.  The input is at fault, not the arithmetic, so this is a
-    ValueError too."""
-
-
-class ZeroPolynomial(SecresError):
-    """Root finding was asked for the identically-zero polynomial."""
+    has no root."""
 
 
 class InvariantViolation(SecresError):

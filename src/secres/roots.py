@@ -31,8 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ZeroPolynomial
-
 DEFAULT_TOL = 1e-13
 MAX_ITERATIONS = 500
 # golden-section angle in radians; irrational fraction of a turn
@@ -173,22 +171,26 @@ def all_roots(coefficients: Sequence) -> RootSet:
 
     Each c_k is a number, or an array of length M for a batch of M
     polynomials that share a degree.  Leading coefficients that are zero in
-    every column are dropped.  Each column iterates until its largest step
-    is below DEFAULT_TOL*(1+|root|) or the iteration budget runs out; each
-    root then gets three Newton polishing steps.  A non-converged column
-    returns its best iterates with converged=False rather than raising; one
-    that reaches a non-finite iterate stops there, with residual NaN.
+    every column are dropped; the zero polynomial raises a ValueError, and
+    an empty batch (M = 0) returns (len(coefficients) - 1, 0) roots.  Each
+    column iterates until its largest step is below DEFAULT_TOL*(1+|root|)
+    or the iteration budget runs out; each root then gets three Newton
+    polishing steps.  A non-converged column returns its best iterates with
+    converged=False rather than raising; one that reaches a non-finite
+    iterate stops there, with residual NaN.
     """
     # one polynomial per column from here on, a single one included
     coeffs = np.array(coefficients, dtype=complex).reshape(len(coefficients), -1)
-    nonzero = np.flatnonzero(coeffs.any(axis=1))
-    if not nonzero.size:
-        raise ZeroPolynomial("cannot find roots of the zero polynomial")
-    coeffs = coeffs[: nonzero[-1] + 1]
-    degree, columns = coeffs.shape[0] - 1, coeffs.shape[1]
+    columns = coeffs.shape[1]
+    if columns:
+        nonzero = np.flatnonzero(coeffs.any(axis=1))
+        if not nonzero.size:
+            raise ValueError("cannot find roots of the zero polynomial")
+        coeffs = coeffs[: nonzero[-1] + 1]
+    degree = coeffs.shape[0] - 1
 
-    if degree == 0:
-        roots = np.empty((0, columns), dtype=complex)
+    if degree == 0 or not columns:
+        roots = np.empty((degree, columns), dtype=complex)
         converged = np.ones(columns, dtype=bool)
         residuals = np.zeros(columns)
     else:
@@ -201,7 +203,7 @@ def all_roots(coefficients: Sequence) -> RootSet:
 
     return RootSet(
         roots=roots,
-        max_residual=float(residuals.max()),
+        max_residual=float(residuals.max(initial=0.0)),
         converged=bool(converged.all()),
         column_converged=converged,
         column_residual=residuals,

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyList, OrderMismatch, failed_solve
+from .errors import failed_solve
 from .roots import all_roots
 from .series import MonicPolynomial, Polynomial
 
@@ -30,11 +30,11 @@ def reconstruct(series_list: Iterable[Polynomial]) -> MonicPolynomial:
     """
     factors = list(series_list)
     if not factors:
-        raise EmptyList("reconstruct needs at least one energy series")
+        raise ValueError("reconstruct needs at least one energy series")
     order = factors[0].degree
     for s in factors:
         if s.degree != order:
-            raise OrderMismatch(f"series orders differ: {order} vs {s.degree}")
+            raise ValueError(f"series orders differ: {order} vs {s.degree}")
 
     # ascending powers of W; starts as the constant polynomial 1
     zero = Polynomial((0.0,) * (order + 1))

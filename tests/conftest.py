@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from secres import MatrixModel, all_roots, load_model
+from secres import MatrixModel, load_model
 from secres.cli import bundled_model_path
 
 TESTS_DIR = Path(__file__).parent
@@ -19,17 +19,6 @@ def roots_at(solve, source, lam):
     roots, failures = solve(source, [lam])
     assert not failures, failures[0]
     return roots[0].tolist()
-
-
-def charpoly_roots_at(cp, lam):
-    """The roots of a characteristic polynomial at one coupling, real or
-    complex, from all_roots on its coefficients there, sorted by real part,
-    then imaginary part; fails unless the solve converged.  Tests of the
-    polynomial itself use this, not exact_eigenvalues_at, which never forms
-    it."""
-    result = all_roots([p.evaluate(lam) for p in reversed(cp.coefficients)] + [1.0])
-    assert result.converged, result.max_residual
-    return sorted(result.roots[:, 0].tolist(), key=lambda z: (z.real, z.imag))
 
 
 def pytest_collection_modifyitems(items):

@@ -25,7 +25,7 @@ from secres import (
 )
 from secres.cli import main as cli_main
 
-from conftest import ZHENG3_PATH, charpoly_roots_at, roots_at
+from conftest import ZHENG3_PATH, roots_at
 from oracles import hamiltonian_at, jacobi_eigenvalues, random_model_data
 
 MODEL = str(ZHENG3_PATH)
@@ -171,6 +171,6 @@ def test_criterion_9_oracle_equivalence():
             model = MatrixModel(4, h0, interaction, (1, 2))
             lam = float(rng.uniform(-1.0, 1.0))
             cp = characteristic_polynomial(model)
-            mine = np.array([z.real for z in charpoly_roots_at(cp, lam)])
+            mine = np.array([z.real for z in roots_at(eigenvalues_at, cp, lam)])
             reference = jacobi_eigenvalues(hamiltonian_at(model, lam).real)
             assert np.max(np.abs(mine - reference)) < 1e-10

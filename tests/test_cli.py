@@ -19,6 +19,7 @@ from secres import (
     reconstruct,
 )
 import secres
+import secres.errors
 from secres import cli
 from secres.cli import SweepSpec, main
 
@@ -77,6 +78,44 @@ def test_validate_model_format_errors(tmp_path, capsys, overrides, message):
     code, out, err = run(capsys, "validate", "--model", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: ModelFormatError: {message}\n"
+
+
+FAULT_TYPES = sorted(
+    {value for value in map(secres.__dict__.get, secres.__all__)
+     if isinstance(value, type) and issubclass(value, Exception)}
+    | {ValueError, OSError},
+    key=lambda error: error.__name__,
+)
+
+
+@pytest.mark.parametrize("error", FAULT_TYPES, ids=lambda error: error.__name__)
+def test_exit_code_follows_the_fault_rule(capsys, monkeypatch, error):
+    # 2 for every ValueError (the input is at fault), 1 for I/O, else 3
+    def fail(path):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "load_model", fail)
+    code, out, err = run(capsys, "validate", "--model", MODEL)
+    if issubclass(error, ValueError):
+        assert (code, err) == (2, f"error: {error.__name__}: boom\n")
+    elif issubclass(error, OSError):
+        assert (code, err) == (1, "error: boom\n")
+    else:
+        assert (code, err) == (3, f"error: {error.__name__}: boom\n")
+    assert out == ""
+
+
+def test_only_arithmetic_failures_escape_the_input_fault_rule():
+    # every exception type the package defines is exported, so the case
+    # above covers it
+    defined = {value for value in vars(secres.errors).values()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert defined <= set(FAULT_TYPES)
+    arithmetic = {error for error in FAULT_TYPES
+                  if issubclass(error, secres.SecresError)
+                  and not issubclass(error, ValueError)}
+    assert arithmetic == {
+        secres.SecresError, secres.InvariantViolation, secres.RootFindingFailure}
 
 
 def test_validate_missing_file(capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from secres import (
     DegreeTooSmall,
-    EmptyList,
     InvariantViolation,
     MatrixModel,
     MonicPolynomial,
@@ -21,7 +20,7 @@ from secres import (
 )
 from secres.cli import main
 
-from conftest import ZHENG3_PATH, charpoly_roots_at, roots_at
+from conftest import ZHENG3_PATH, roots_at
 from oracles import (
     cofactor_det,
     cubic_discriminant_value,
@@ -249,10 +248,10 @@ def test_coalescence_at_reported_points(zheng3):
     cp = characteristic_polynomial(zheng3)
     disc = discriminant(cp)
     for z in flat(exceptional_points(disc)):
-        roots = charpoly_roots_at(cp, z)
+        roots = roots_at(eigenvalues_at, cp, z)
         gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
         assert min(gaps) <= 1e-5
-        roots_far = charpoly_roots_at(cp, 2.0 * z)
+        roots_far = roots_at(eigenvalues_at, cp, 2.0 * z)
         gaps_far = [
             abs(a - b) for i, a in enumerate(roots_far) for b in roots_far[i + 1:]
         ]
@@ -305,7 +304,7 @@ def test_nearest_single_element():
 
 
 def test_nearest_empty_raises():
-    with pytest.raises(EmptyList):
+    with pytest.raises(ValueError, match="no exceptional points to choose from"):
         nearest_exceptional_point([])
 
 

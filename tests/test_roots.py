@@ -6,7 +6,8 @@ import pytest
 
 import secres.secular
 from secres import (
-    MonicPolynomial, Polynomial, RootSet, ZeroPolynomial, all_roots, eigenvalues_at,
+    MonicPolynomial, Polynomial, RootSet, all_roots, eigenvalues_at,
+    exact_eigenvalues_at, p_space_series, reconstruct,
 )
 from secres.roots import _horner
 
@@ -39,8 +40,19 @@ def test_constructed_double_root():
 
 
 def test_zero_polynomial_raises():
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(ValueError, match="cannot find roots of the zero polynomial"):
         all_roots([0.0, 0.0])
+
+
+def test_empty_grid_gives_no_rows(zheng3):
+    values, failures = eigenvalues_at(reconstruct(p_space_series(zheng3, 6)), [])
+    assert values.shape == (0, 2) and failures == {}
+    values, failures = exact_eigenvalues_at(zheng3, [])
+    assert values.shape == (0, 3) and failures == {}
+    result = all_roots([[], []])
+    assert result.roots.shape == (1, 0)
+    assert result.converged and result.max_residual == 0.0
+    assert result.column_converged.shape == result.column_residual.shape == (0,)
 
 
 def test_constant_has_no_roots():
