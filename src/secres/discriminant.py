@@ -103,7 +103,11 @@ def exceptional_points(disc: Polynomial) -> list[list[complex]]:
     Roots come from all_roots, whose final Newton steps are the only
     refinement.  They are returned as groups of symmetry partners sharing a
     modulus (within MODULUS_TIE_TOL), groups in ascending modulus and the
-    members of each group in ascending principal argument.
+    members of each group in ascending principal argument.  A member within
+    that tolerance of an image of the group's nearest_exceptional_point
+    pick z is replaced by it, so partners share one modulus bit for bit:
+    the coefficients are real, so z-bar is an image, and so are -z and
+    -z-bar when every odd coefficient is 0.
     """
     if disc.degree < 1:
         raise DegreeTooSmall(f"no exceptional point exists: a discriminant of "
@@ -121,7 +125,15 @@ def exceptional_points(disc: Polynomial) -> list[list[complex]]:
             groups[-1].append(z)
         else:
             groups.append([z])
+    even = not any(disc.coefficients[1::2])
     for group in groups:
+        group.sort(key=cmath.phase)
+        z = nearest_exceptional_point([group])
+        images = (z, z.conjugate()) + ((-z, -z.conjugate()) if even else ())
+        for i, member in enumerate(group):
+            image = min(images, key=lambda w: abs(w - member))
+            if abs(image - member) <= MODULUS_TIE_TOL * max(1.0, abs(z)):
+                group[i] = image
         group.sort(key=cmath.phase)
     return groups
 

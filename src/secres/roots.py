@@ -7,11 +7,14 @@ root of a whole batch of polynomials of one degree, stored as the columns
 of a coefficient array.  The batch stays on the last, contiguous axis, from
 (degree+1, M) coefficients to (degree, M) roots: numpy's inner loops run
 fastest along the long axis, and a sweep solves 1001 polynomials of two or
-three roots at once.  Starting points sit on a circle of radius given by
-the Cauchy bound, rotated by an irrational angle so that no initial guess
-lands on a symmetry axis of the root set.  Multiple roots come back as
-near-coincident simple roots.  Clustering them and wording a failed solve
-are the caller's job.
+three roots at once.  Starting points sit on Bini's circles, one per edge
+of the Newton polygon of the coefficients, so each polynomial is solved at
+its own scale whatever the units or the span of its coefficients (Bini
+1996).  Each root stops once its own step is small relative to that scale;
+a stopped root no longer moves but still repels the others, and a
+polynomial is done when all its roots have stopped (as in MPSolve; Bini and
+Fiorentino 2000).  Multiple roots come back as near-coincident simple
+roots.  Clustering them and wording a failed solve are the caller's job.
 
 p and p' come from Horner's rule on a stack of planes [p', p, c_n, ..., c_0],
 each shaped like the roots.  A window of two planes slides down the stack:
@@ -27,13 +30,14 @@ is solved alone or as a column of a batch, at every degree and size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
 DEFAULT_TOL = 1e-13
 MAX_ITERATIONS = 500
-# golden-section angle in radians; irrational fraction of a turn
+# the golden section 1 - 1/phi, an irrational fraction of a turn
 _ANGLE_OFFSET = 0.38196601125010515
 
 
@@ -46,7 +50,9 @@ class RootSet:
     magnitude |p(z)/p'(z)| over the returned roots, which estimates the
     distance to the true root, and converged holds when every column
     converged.  column_converged and column_residual give each column's
-    flag and largest residual, as arrays of length M.
+    flag and largest residual, as arrays of length M.  iterations is
+    (degree, M): the Aberth iteration at which each root stopped, or
+    MAX_ITERATIONS if it was still moving there.
     """
 
     roots: np.ndarray
@@ -54,6 +60,7 @@ class RootSet:
     converged: bool
     column_converged: np.ndarray
     column_residual: np.ndarray
+    iterations: np.ndarray
 
 
 def _horner(coeffs: np.ndarray, shape: tuple[int, int]):
@@ -82,33 +89,100 @@ def _horner(coeffs: np.ndarray, shape: tuple[int, int]):
     return evaluate
 
 
-def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Iterate every column until its largest relative step is below
-    DEFAULT_TOL, it reaches a non-finite iterate, or MAX_ITERATIONS pass.
+@cache
+def _circles(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables for the starts of degree n: b - a at [a, b - 1], the unit roots
+    exp(2 pi i j/d) at [d*n + j], and at [a*(n+1) + d] the turn of the
+    circle of d points from slot a to slot b = a + d.
+
+    A circle is turned by b/n of a turn, as in MPSolve (Bini and Fiorentino
+    2000), plus the irrational _ANGLE_OFFSET, which keeps starts off the
+    axes of symmetry, and a/n^2 of it, which keeps apart two circles of one
+    radius that rounding split from one edge.
+    """
+    k = np.arange(degree + 1)
+    span = (k[1:] - k[:, None]).astype(float)
+    d, j = np.divmod(np.arange((degree + 1) * degree), degree)
+    unit = np.exp(2j * np.pi * j / np.maximum(d, 1))
+    a, d = np.divmod(np.arange((degree + 1) ** 2), degree + 1)
+    turn = np.exp(2j * np.pi * (
+        _ANGLE_OFFSET * (1 + a / degree**2) + (a + d) / degree))
+    for table in (span, unit, turn):
+        table.flags.writeable = False  # shared by every call of this degree
+    return span, unit, turn
+
+
+def _starts(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bini's starting points for the columns of coeffs, and the smallest
+    nonzero start radius of each column.
+
+    Each edge a -> b of the upper convex hull of the points (k, log|c_k|)
+    gives a circle of radius (|c_a|/|c_b|)^(1/(b-a)) with b-a points evenly
+    spaced on it (Bini 1996).  The hull's slope over slot k (from k to k+1)
+    is the smallest, over a <= k, of the steepest slope from a to any b > k.
+    The slope falls with k, so an edge is a run of slots with one slope.
+    Slots below the lowest nonzero coefficient get radius 0: the exact zero
+    roots.
+    """
+    degree = coeffs.shape[0] - 1
+    span, unit, turn = _circles(degree)
+    log_modulus = np.log(np.abs(coeffs))
+    below = span <= 0  # [a, b - 1]: b <= a, no edge
+    slope = (log_modulus[None, 1:] - log_modulus[:, None]) / span[:, :, None]
+    slope[below] = -np.inf
+    # suffix maxima by doubling: [a, k] becomes the steepest slope to a b > k
+    shift = 1
+    while shift < degree:
+        np.fmax(slope[:, :-shift], slope[:, shift:], out=slope[:, :-shift])
+        shift *= 2
+    slope[below] = np.inf  # a > k
+    hull = np.fmin.reduce(slope, axis=0)
+    radius = np.exp(-hull)
+    first = (hull[:, None] > hull).sum(axis=0)  # a: steeper slots come first
+    points = (hull[:, None] == hull).sum(axis=0)  # d = b - a
+    circle = unit[points * degree + np.arange(degree)[:, None] - first]
+    rotation = turn[first * (degree + 1) + points]
+    roots = radius * circle
+    roots *= rotation
+    scale = np.min(np.where(radius > 0, radius, np.inf), axis=0)
+    return roots, scale
+
+
+def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Iterate each root until its step is below DEFAULT_TOL*(r+|z|), then
+    freeze it; a column stops once all its roots are frozen, when one is
+    non-finite, or after MAX_ITERATIONS.
 
     Columns are polynomials: coeffs is (degree+1, M) and the roots
-    (degree, M).  A column that stops is frozen and leaves the working
-    arrays.  The repulsion sum adds each column's terms in one order
-    whatever M is, so a column's roots do not depend on the other columns.
-    Returns the roots and the converged and non-finite flags.
+    (degree, M).  r is the column's smallest nonzero start radius, so the
+    rule does not depend on units.  A frozen root leaves the Horner and
+    step work but still repels the moving roots of its column.  The work
+    runs over the columns that have not stopped and the rows (root
+    indices) that still move in one of them.  A root's steps and freeze
+    depend only on its own column, and the repulsion sum adds a column's
+    terms in one order whatever M is, so a column's roots do not depend on
+    the other columns.  Returns the roots, the iteration at which each
+    stopped, and each column's converged and non-finite flags.
     """
     degree, columns = coeffs.shape[0] - 1, coeffs.shape[1]
-    radius = 1.0 + np.max(np.abs(coeffs[:-1] / coeffs[-1:]), axis=0)
-    circle = np.exp(2j * np.pi * (np.arange(degree) / degree + _ANGLE_OFFSET))
-    roots = radius * circle[:, None]
+    roots, scale = _starts(coeffs)
+    iterations = np.empty(roots.shape, dtype=int)
     converged = np.zeros(columns, dtype=bool)
     failed = np.zeros(columns, dtype=bool)
 
-    active = np.arange(columns)
-    z, c = roots, coeffs
-    horner = _horner(c, z.shape)
+    active, rows = np.arange(columns), np.arange(degree)
+    z, c, r = roots.copy(), coeffs, scale
+    w = z  # the working rows of z, z itself while it has every row
+    moving = np.ones(z.shape, dtype=bool)
+    count = np.zeros(z.shape, dtype=int)
+    horner = _horner(c, w.shape)
     for _ in range(MAX_ITERATIONS):
-        p, dp = horner(z)
+        p, dp = horner(w)
         newton = p / dp
-        diff = z[:, None, :] - z[None, :, :]  # [i, j, m] = z_i - z_j
+        diff = w[:, None, :] - z[None, :, :]  # [i, j, m] = w_i - z_j
         coincide = diff == 0
         inverse = np.divide(1.0, diff, out=diff)  # in place: the largest array
-        inverse[coincide] = 0.0
+        np.putmask(inverse, coincide, 0.0)
         # The sum over j must add a column's terms in the order numpy uses
         # for a lone polynomial, whose j axis is contiguous.  numpy sums a
         # contiguous complex axis pairwise (left to right below 4 terms) and
@@ -124,32 +198,60 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         denominator = 1.0 - newton * repulsion
         step = newton / denominator
         flat = denominator == 0
-        step[flat] = newton[flat]
+        np.copyto(step, newton, where=flat)
         exact = p == 0
-        step[exact] = 0.0
+        hold = exact | ~moving  # frozen roots stay
         # nudge off a critical point; keeps the iteration alive
-        stalled = (dp == 0) & ~exact
-        nudge = DEFAULT_TOL * (1.0 + np.abs(z[stalled]))
-        step[stalled] = -nudge
-        z = z - step
-        relative = np.abs(step) / (1.0 + np.abs(z))
-        relative[stalled] = nudge
+        stalled = (dp == 0) & ~hold
+        nudged = stalled.any()
+        if nudged:
+            scales = np.broadcast_to(r, w.shape)[stalled]
+            step[stalled] = -DEFAULT_TOL * (scales + np.abs(w[stalled]))
+        step[hold] = 0.0
+        w = w - step
+        if w.shape[0] == degree:
+            z = w
+        else:
+            z[rows] = w
+        relative = np.abs(step) / (r + np.abs(w))
+        if nudged:
+            relative[stalled] = np.inf
+        count += moving
+        moving = relative >= DEFAULT_TOL  # a held root's step is 0
 
-        bad = ~np.isfinite(z).all(axis=0)
-        done = relative.max(axis=0) < DEFAULT_TOL
+        bad = ~np.isfinite(w).all(axis=0)
+        done = ~moving.any(axis=0)
         stop = done | bad
-        if stop.any():
+        changed = stop.any()
+        if changed:
             leaving = active[stop]
-            roots[:, leaving] = z[:, stop]
-            converged[leaving] = done[stop]
+            roots[:, leaving] = z.compress(stop, axis=1)
+            iterations[rows[:, None], leaving] = count.compress(stop, axis=1)
+            converged[leaving] = done[stop] & ~bad[stop]
             failed[leaving] = bad[stop]
             keep = ~stop
-            active, z, c = active[keep], z[:, keep], c[:, keep]
+            active, r = active[keep], r[keep]
+            # compress: boolean indexing on the batch axis is slower
+            c, z, moving, count = (
+                a.compress(keep, axis=1) for a in (c, z, moving, count))
+            w = z if w.shape[0] == degree else w.compress(keep, axis=1)
             if not active.size:
                 break
-            horner = _horner(c, z.shape)
+        if w.shape[0] > 2:
+            idle = ~moving.any(axis=1)
+            if idle.any():
+                # keep two rows: numpy multiplies a one-element array
+                # without the fused multiply-add of its vector loop
+                keep = ~idle
+                keep[np.flatnonzero(idle)[: max(0, 2 - keep.sum())]] = True
+                iterations[rows[~keep, None], active] = count[~keep]
+                rows, w, moving, count = rows[keep], w[keep], moving[keep], count[keep]
+                changed = True
+        if changed:
+            horner = _horner(c, w.shape)
     roots[:, active] = z
-    return roots, converged, failed
+    iterations[rows[:, None], active] = count
+    return roots, iterations, converged, failed
 
 
 def _polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +275,10 @@ def all_roots(coefficients: Sequence) -> RootSet:
     polynomials that share a degree.  Leading coefficients that are zero in
     every column are dropped; the zero polynomial raises a ValueError, and
     an empty batch (M = 0) returns (len(coefficients) - 1, 0) roots.  Each
-    column iterates until its largest step is below DEFAULT_TOL*(1+|root|)
-    or the iteration budget runs out; each root then gets three Newton
+    root starts on a Newton-polygon circle of its column and iterates until
+    its step is below DEFAULT_TOL*(r+|root|), with r the column's smallest
+    nonzero start radius, or the iteration budget runs out; a column is
+    done when all its roots are, and each root then gets three Newton
     polishing steps.  A non-converged column returns its best iterates with
     converged=False rather than raising; one that reaches a non-finite
     iterate stops there, with residual NaN.
@@ -191,11 +295,12 @@ def all_roots(coefficients: Sequence) -> RootSet:
 
     if degree == 0 or not columns:
         roots = np.empty((degree, columns), dtype=complex)
+        iterations = np.zeros((degree, columns), dtype=int)
         converged = np.ones(columns, dtype=bool)
         residuals = np.zeros(columns)
     else:
         with np.errstate(all="ignore"):
-            roots, converged, failed = _aberth(coeffs)
+            roots, iterations, converged, failed = _aberth(coeffs)
             residuals = np.full(columns, np.nan)
             finite = ~failed
             roots[:, finite], residuals[finite] = _polish(
@@ -207,4 +312,5 @@ def all_roots(coefficients: Sequence) -> RootSet:
         converged=bool(converged.all()),
         column_converged=converged,
         column_residual=residuals,
+        iterations=iterations,
     )

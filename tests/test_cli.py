@@ -637,13 +637,7 @@ def sweep_cell_kinds(capsys, model):
     return [[cell.endswith("j") for cell in row] for row in sweep_cells(capsys, model)]
 
 
-@pytest.mark.parametrize("scale", [
-    pytest.param(1e-12, marks=pytest.mark.xfail(strict=True, reason=(
-        "all_roots stops on steps below DEFAULT_TOL*(1+|z|), an absolute "
-        "rule for |z| << 1: at a=1e-12 the roots at lambda=0 and 0.05 are "
-        "off by ~1e-6 relative and carry imaginary parts ~1e-8 |z|"))),
-    1e-10, 1e-6, 1e6,
-])
+@pytest.mark.parametrize("scale", [1e-16, 1e-14, 1e-12, 1e-10, 1e-6, 1e6])
 def test_sweep_cell_kinds_invariant_under_change_of_units(tmp_path, capsys, scale):
     # H -> aH scales every eigenvalue by a, so a root is complex in all units
     # or in none
@@ -662,6 +656,21 @@ def test_sweep_exact_cells_scale_with_units(tmp_path, capsys, scale):
     want = scale * sweep_exact_cells(capsys, MODEL)
     got = sweep_exact_cells(capsys, scaled_model(tmp_path, scale))
     bound = 1e-14 * np.max(np.abs(want), axis=1)
+    assert (np.max(np.abs(got - want), axis=1) <= bound).all()
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_sweep_resummed_cells_scale_with_units(tmp_path, capsys, scale):
+    # the start circles and the stop rule scale with the units, so the
+    # resummed roots neither overflow nor stop early in far units.  Far
+    # outside the convergence radius their polynomials are ill-conditioned:
+    # rounding them in other units (a = 3 as well) moves roots by ~5e-11.
+    def resummed(model):
+        return np.array([[complex(x) for x in row[4:-1]]
+                         for row in sweep_cells(capsys, model)])
+    want = scale * resummed(MODEL)
+    got = resummed(scaled_model(tmp_path, scale))
+    bound = 1e-9 * np.max(np.abs(want), axis=1)
     assert (np.max(np.abs(got - want), axis=1) <= bound).all()
 
 
@@ -704,16 +713,20 @@ def test_reconstruct_overflow_exits_3(tmp_path, capsys):
 
 
 def test_ep_nan_discriminant_roots_exit_3(tmp_path, capsys):
-    # the order-40 discriminant of this D=3 model overflows the root
-    # iteration to NaN; that is a root-finding failure, not a bad model
+    # in units of 1e100 the order-40 discriminant of this D=3 model has
+    # coefficients up to 1.4e200, and the root iteration overflows to NaN;
+    # that is a root-finding failure, not a bad model.  In units of 1 the
+    # same solve runs into the iteration cap instead.
+    unit = 1e100
     path = tmp_path / "model.json"
     path.write_text(json.dumps({
         "dimension": 3,
-        "h0_diagonal": [0.08908619624126235, -0.48167990866046884, -1.982383759125323],
+        "h0_diagonal": [unit * e for e in (
+            0.08908619624126235, -0.48167990866046884, -1.982383759125323)],
         "interaction": [
-            [2, 1, 0.5095400181377714],
-            [3, 2, -0.37821667639322565],
-            [3, 1, 0.8776836689221061],
+            [2, 1, unit * 0.5095400181377714],
+            [3, 2, unit * -0.37821667639322565],
+            [3, 1, unit * 0.8776836689221061],
         ],
         "p_space": [2, 1],
     }))

@@ -216,6 +216,19 @@ def test_points_sorted_by_modulus_then_phase(zheng3):
             assert cmath.phase(a) <= cmath.phase(b)
 
 
+@pytest.mark.parametrize("order", [None, 10, 40])
+def test_symmetry_partners_share_their_modulus_bit_for_bit(zheng3, order):
+    # zheng3's discriminants are even in lambda, so each group is the
+    # conjugates and negatives of one point
+    poly = (characteristic_polynomial(zheng3) if order is None
+            else reconstruct(p_space_series(zheng3, order)))
+    groups = exceptional_points(discriminant(poly))
+    for group in groups:
+        assert len({abs(z) for z in group}) == 1
+        z = nearest_exceptional_point([group])
+        assert set(group) <= {z, z.conjugate(), -z, -z.conjugate()}
+
+
 def test_residuals_small_and_modulus_consistent(zheng3):
     for disc in (
         discriminant(characteristic_polynomial(zheng3)),

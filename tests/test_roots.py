@@ -6,12 +6,13 @@ import pytest
 
 import secres.secular
 from secres import (
-    MonicPolynomial, Polynomial, RootSet, all_roots, eigenvalues_at,
+    MatrixModel, MonicPolynomial, Polynomial, RootSet, all_roots,
+    characteristic_polynomial, discriminant, eigenvalues_at,
     exact_eigenvalues_at, p_space_series, reconstruct,
 )
-from secres.roots import _horner
+from secres.roots import MAX_ITERATIONS, _horner
 
-from oracles import horner_pair, poly_mul, sort_roots
+from oracles import horner_pair, poly_mul, random_model_data, sort_roots
 
 
 def test_factored_quadratic():
@@ -145,12 +146,25 @@ def test_max_residual_finite_and_small():
     assert result.max_residual < 1e-10
 
 
+# coefficients of 1e308 overflow the first Horner pass at any radius, so the
+# first step is NaN
+OVERFLOWING = [1e308] * 81
+
+
 def test_non_finite_iterate_is_not_converged():
-    # the Cauchy circle of radius 1e8 overflows z^80 and the first step is
-    # NaN; max() would skip it, so the failure must be reported explicitly
-    result = all_roots([1.0] + [0.0] * 79 + [1e-8])
+    # max() would skip the NaN, so the failure must be reported explicitly
+    result = all_roots(OVERFLOWING)
     assert not result.converged
     assert np.isnan(result.max_residual)
+    assert (result.iterations == 1).all()
+
+
+def test_far_roots_of_a_sparse_polynomial_converge():
+    # the Cauchy circle of radius 1e8 overflowed z^80 here; the Newton
+    # polygon puts every start on the circle |z| = 1e8^(1/80) of the roots
+    result = all_roots([1.0] + [0.0] * 79 + [1e-8])
+    assert result.converged
+    assert np.abs(np.abs(result.roots) - 1e8 ** (1 / 80)).max() <= 1e-14
 
 
 # degree 3 and 4 straddle the length at which numpy's sum of a contiguous
@@ -175,12 +189,29 @@ def test_batch_columns_match_solo_solves(degree, columns, sample):
         assert batch.column_residual[m] == solo.max_residual
 
 
+def test_batch_of_wide_span_columns_matches_solo_solves():
+    # coefficients over twelve decades, some exactly 0, so each column has
+    # its own start circles and its rows freeze at different iterations;
+    # a root's steps and count must not depend on the other columns
+    rng = np.random.default_rng(7)
+    shape = (13, 40)
+    coefficients = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    ) * 10.0 ** rng.uniform(-6, 6, shape)
+    coefficients[rng.random(shape) < 0.1] = 0.0
+    coefficients[-1] = 1.0
+    batch = all_roots(coefficients)
+    assert batch.converged
+    for m in range(40):
+        solo = all_roots(coefficients[:, m])
+        assert solo.roots[:, 0].tolist() == batch.roots[:, m].tolist()
+        assert solo.iterations[:, 0].tolist() == batch.iterations[:, m].tolist()
+
+
 def test_non_finite_column_does_not_spread():
-    overflowing = [1.0] + [0.0] * 79 + [1e-8]
     rng = np.random.default_rng(223)
     healthy = rng.uniform(-1, 1, (81, 3)) + 1j * rng.uniform(-1, 1, (81, 3))
     healthy[-1] = 1.0
-    batch = np.column_stack([healthy[:, 0], overflowing, healthy[:, 1], healthy[:, 2]])
+    batch = np.column_stack([healthy[:, 0], OVERFLOWING, healthy[:, 1], healthy[:, 2]])
     result = all_roots(batch)
     assert not result.converged
     assert np.isnan(result.max_residual)
@@ -205,7 +236,8 @@ def test_rows_sorted_like_sort_roots(monkeypatch):
     converged = np.arange(200) != 3
     residual = np.where(converged, 1e-15, 2.5e-3)
     lams = [0.25 * m for m in range(200)]
-    result = RootSet(columns, 2.5e-3, False, converged, residual)
+    result = RootSet(columns, 2.5e-3, False, converged, residual,
+                     np.full(columns.shape, 7))
     monkeypatch.setattr(secres.secular, "all_roots", lambda coefficients: result)
     poly = MonicPolynomial((Polynomial((0.0,)),) * 40)
     rows, failures = eigenvalues_at(poly, lams)
@@ -281,7 +313,49 @@ def test_iteration_cap_golden():
     result = all_roots([float.fromhex(c) for c in golden["coefficients"]])
     assert golden["converged"] is False
     assert result.converged is False
+    assert (result.iterations == MAX_ITERATIONS).any()
     assert result.max_residual.hex() == golden["max_residual"]
     assert [[z.real.hex(), z.imag.hex()] for z in result.roots[:, 0].tolist()] == (
         golden["roots"]
     )
+
+
+# Iteration counts pin the speed of the Newton-polygon starts without
+# timing; the counts from the Cauchy circle they replaced are in comments.
+
+@pytest.mark.parametrize("order", [None, 10, 20, 30, 40])
+def test_zheng3_discriminants_take_at_most_20_iterations(zheng3, order):
+    # Cauchy circle: 9, 17, 21, 54 and 83 iterations
+    poly = (characteristic_polynomial(zheng3) if order is None
+            else reconstruct(p_space_series(zheng3, order)))
+    result = all_roots(discriminant(poly).coefficients)
+    assert result.converged
+    assert result.iterations.shape == (len(result.roots), 1)
+    assert 1 <= result.iterations.min() and result.iterations.max() <= 20
+
+
+def test_seeded_exact_discriminants_take_at_most_20_iterations():
+    # Cauchy circle: 39 to 121 iterations on these twelve D=5 models
+    for seed in range(100, 112):
+        h0, interaction = random_model_data(np.random.default_rng(seed), 5)
+        model = MatrixModel(5, h0, interaction, (1, 2))
+        result = all_roots(discriminant(characteristic_polynomial(model)).coefficients)
+        assert result.converged
+        assert result.iterations.max() <= 20, seed
+
+
+def test_sweep_batch_takes_no_more_iterations_than_the_cauchy_circle(zheng3):
+    # the order-6 roots of `sweep --steps 1001` on [0, 0.5]: the Cauchy
+    # circle took at most 8 iterations per column and 6724 in all
+    grid = np.arange(1001) * 0.5 / 1000
+    poly = reconstruct(p_space_series(zheng3, 6))
+    values = [p.evaluate(grid) for p in reversed(poly.coefficients)]
+    result = all_roots(values + [np.ones(grid.shape)])
+    assert result.converged
+    per_column = result.iterations.max(axis=0)
+    assert per_column.max() <= 8 and per_column.sum() <= 6724
+    # a root's count depends on its own column only
+    batch = np.array(values + [np.ones(grid.shape)])
+    for m in range(0, 1001, 100):
+        assert all_roots(batch[:, m]).iterations[:, 0].tolist() == (
+            result.iterations[:, m].tolist())
