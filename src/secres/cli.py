@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -41,7 +40,7 @@ import numpy as np
 from .charpoly import characteristic_polynomial, exact_eigenvalues_at
 from .discriminant import discriminant, exceptional_points, nearest_exceptional_point
 from .errors import SecresError
-from .model import MatrixModel, load_model
+from .model import MatrixModel, _number, load_model
 from .rspt import p_space_series
 from .secular import eigenvalues_at, reconstruct
 from .series import Polynomial
@@ -110,15 +109,27 @@ def bundled_model_path() -> Path:
     return Path(str(resources.files("secres").joinpath("data/zheng3.json")))
 
 
+def integer(text: str) -> int:
+    """An integer flag's value, read as a model file reads an integer: a
+    JSON number, so ASCII digits with an optional minus and no leading zero,
+    '+', '_' or exponent.  Anything else raises a ValueError."""
+    try:
+        return _number(json.loads(text), "integer", int)
+    except RecursionError:  # a thousand '[' exhaust the JSON decoder
+        raise ValueError(f"{text!r} nests too deeply") from None
+
+
 def _parse_orders(text: str) -> tuple[int, ...]:
-    """Distinct integer orders from a comma-separated --orders value; a blank
-    value gives none.  Anything else raises a ValueError quoting the text."""
+    """Distinct orders from a comma-separated --orders value, each read by
+    integer(); a blank value gives none.  Anything else raises a ValueError
+    quoting the text."""
     if not text.strip():
         return ()
-    parts = [part.strip() for part in text.split(",")]
-    if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
-        raise ValueError(f"--orders takes comma-separated integers, got {text!r}")
-    orders = tuple(int(part) for part in parts)
+    try:
+        orders = tuple(integer(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--orders takes comma-separated integers, got {text!r}") from None
     if len(set(orders)) < len(orders):
         raise ValueError(f"--orders repeats an order in {text!r}")
     return orders
@@ -274,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="print per-state energy series")
     add_model(p)
-    p.add_argument("--order", type=int, required=True, help="truncation order K")
+    p.add_argument("--order", type=integer, required=True, help="truncation order K")
     add_out(p)
     p.set_defaults(handler=cmd_series)
 
@@ -285,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="emit the truncated secular polynomial")
     add_model(p)
-    p.add_argument("--order", type=int, required=True, help="truncation order K")
+    p.add_argument("--order", type=integer, required=True, help="truncation order K")
     add_out(p)
     p.set_defaults(handler=cmd_reconstruct)
 
@@ -294,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", default="6", help="comma-separated orders K")
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument("--steps", type=integer, default=101)
     add_out(p)
     p.set_defaults(handler=cmd_sweep)
 

@@ -46,11 +46,8 @@ def _det(matrix: list[list[Polynomial]]) -> Polynomial:
             return row[columns[0]]
         total = Polynomial((0.0,))
         for position, col in enumerate(columns):
-            entry = row[col]
-            if entry.is_zero():
-                continue
-            term = entry.mul(minor(columns[:position] + columns[position + 1:]))
-            total = total + (term.scale(-1.0) if position % 2 else term)
+            term = row[col].mul(minor(columns[:position] + columns[position + 1:]))
+            total = total - term if position % 2 else total + term
         return total
 
     return minor(tuple(range(size)))

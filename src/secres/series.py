@@ -39,9 +39,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def is_zero(self) -> bool:
-        return not any(self.coefficients)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
@@ -52,10 +49,7 @@ class Polynomial:
         return Polynomial(tuple(out))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coefficients))
+        return self + Polynomial(tuple(-c for c in other.coefficients))
 
     def scale(self, factor: float) -> "Polynomial":
         return Polynomial(tuple(factor * c for c in self.coefficients))

@@ -244,10 +244,7 @@ def cofactor_det(matrix):
         return matrix[0][0]
     total = type(matrix[0][0])((0.0,))
     for col in range(len(matrix)):
-        entry = matrix[0][col]
-        if entry.is_zero():
-            continue
         minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
-        term = entry.mul(cofactor_det(minor))
-        total = total + (term.scale(-1.0) if col % 2 else term)
+        term = matrix[0][col].mul(cofactor_det(minor))
+        total = total - term if col % 2 else total + term
     return total

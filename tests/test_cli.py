@@ -441,6 +441,8 @@ def test_bad_order_arguments_exit_2(capsys, argv):
     ("1_0", "--orders takes comma-separated integers, got '1_0'"),
     ("+4", "--orders takes comma-separated integers, got '+4'"),
     ("\u0664", "--orders takes comma-separated integers, got '\u0664'"),
+    ("007", "--orders takes comma-separated integers, got '007'"),
+    ("2,+3", "--orders takes comma-separated integers, got '2,+3'"),
     ("4,4", "--orders repeats an order in '4,4'"),
     ("2, 4,2", "--orders repeats an order in '2, 4,2'"),
 ])
@@ -459,6 +461,33 @@ def test_malformed_orders_exit_2_naming_the_flag(capsys, command, orders, messag
 ])
 def test_negative_order_exits_2(capsys, command, message):
     code, out, err = run(capsys, command, "--model", MODEL, "--orders", "4,-2")
+    assert (code, out) == (2, "")
+    assert err == f"error: ValueError: {message}\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("series", "--order"), ("reconstruct", "--order"), ("sweep", "--steps"),
+])
+@pytest.mark.parametrize("value", [
+    "1_0", "+3", "\u0663", "007", pytest.param("[" * 1000, id="nested"),
+])
+def test_integer_flags_read_integers_as_model_files_do(capsys, command, flag, value):
+    # Python's int() takes the first four; JSON, and so a model file, takes
+    # none, and brackets nested past the decoder's depth are no integer either
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", MODEL, flag, value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid integer value: {value!r}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("series", "--order", "-1"), "order must be non-negative, got -1"),
+    (("ep", "--orders", "-1"), "order must be non-negative, got -1"),
+    (("sweep", "--steps", "-1"), "steps must be >= 2, got -1"),
+])
+def test_negative_integer_flags_reach_their_checks(capsys, argv, message):
+    code, out, err = run(capsys, argv[0], "--model", MODEL, *argv[1:])
     assert (code, out) == (2, "")
     assert err == f"error: ValueError: {message}\n"
 
@@ -557,8 +586,9 @@ UNREACHED = {
     (NO_COUPLING, ("ep", "--exact")),
     (NO_COUPLING, ("table1",)),
     (UNREACHED, ("ep", "--orders", "4")),
+    (UNREACHED, ("table1",)),
 ], ids=["zheng3-order0", "zheng3-order1", "no-coupling-order4", "no-coupling-exact",
-        "no-coupling-table1", "unreached-order4"])
+        "no-coupling-table1", "unreached-order4", "unreached-table1"])
 def test_ep_with_a_constant_discriminant_exits_2(tmp_path, capsys, data, argv):
     # zheng3 has no diagonal coupling, so its order-0 and order-1 energies
     # are constant; the other models never couple their model space
@@ -569,6 +599,20 @@ def test_ep_with_a_constant_discriminant_exits_2(tmp_path, capsys, data, argv):
     code, out, err = run(capsys, *argv, "--model", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: DegreeTooSmall: {NO_ROOT}\n"
+
+
+def test_block_model_exact_ep_is_the_coupled_pair_s_branch_point(tmp_path, capsys):
+    # the exact discriminant also has double roots at +-sqrt(8) and
+    # +-sqrt(24), where a level of the coupled pair crosses h0 = 1 or 0;
+    # the EPs are the simple roots +-i, where 0.25 + 0.25 lambda^2 = 0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(UNREACHED))
+    code, out, err = run(capsys, "ep", "--exact", "--model", str(path))
+    assert (code, err) == (0, "")
+    nearest = json.loads(out)["exact"]["nearest"]
+    assert abs(complex(float(nearest["re"]), float(nearest["im"])) - 1j) <= 1e-14
+    assert float(nearest["modulus"]) == pytest.approx(1.0, abs=1e-14)
+    assert nearest["multiplicity"] == 2
 
 
 def test_ep_floats_are_round_trip_strings(capsys):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import secres.roots
 import secres.secular
 from secres import (
     MatrixModel, MonicPolynomial, Polynomial, RootSet, all_roots,
@@ -165,6 +166,17 @@ def test_far_roots_of_a_sparse_polynomial_converge():
     result = all_roots([1.0] + [0.0] * 79 + [1e-8])
     assert result.converged
     assert np.abs(np.abs(result.roots) - 1e8 ** (1 / 80)).max() <= 1e-14
+
+
+def test_root_started_on_a_critical_point_is_nudged_off(monkeypatch):
+    # z^2 - 1 has p' = 0 at its start 0, so that root's Newton correction
+    # p/p' is infinite; the nudge moves it by a relative DEFAULT_TOL instead
+    starts = np.array([[0.0], [2.0]], dtype=complex)
+    monkeypatch.setattr(secres.roots, "_starts", lambda coeffs: (starts, np.ones(1)))
+    result = all_roots([-1.0, 0.0, 1.0])
+    assert result.converged
+    assert sort_roots(result.roots[:, 0]) == pytest.approx([-1.0, 1.0], abs=1e-15)
+    assert result.iterations[0, 0] > 1
 
 
 # degree 3 and 4 straddle the length at which numpy's sum of a contiguous

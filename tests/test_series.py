@@ -29,7 +29,7 @@ def test_add_zero_is_identity():
 
 
 def test_add_negation_gives_zero():
-    assert S_LOW + (-S_LOW) == Polynomial((0.0, 0.0, 0.0))
+    assert S_LOW - S_LOW == Polynomial((0.0, 0.0, 0.0))
 
 
 def test_mul_truncated_drops_cross_term():
