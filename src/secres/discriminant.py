@@ -71,6 +71,10 @@ def discriminant(poly: MonicPolynomial) -> Polynomial:
     f = p[::-1] + [Polynomial((1.0,))]
     g = [f[m + 1].scale(float(m + 1)) for m in range(degree)] + [Polynomial((0.0,))]
 
+    @cache
+    def product(a: int, b: int) -> Polynomial:
+        return f[a].mul(g[b])  # each one recurs in many entries
+
     # Bezout matrix: (f(x)g(y) - f(y)g(x)) / (x - y) = sum B[i][j] x^i y^j
     bezout = []
     for i in range(degree):
@@ -78,11 +82,7 @@ def discriminant(poly: MonicPolynomial) -> Polynomial:
         for j in range(degree):
             entry = Polynomial((0.0,))
             for k in range(min(i, degree - 1 - j) + 1):
-                entry = (
-                    entry
-                    + f[j + k + 1].mul(g[i - k])
-                    - f[i - k].mul(g[j + k + 1])
-                )
+                entry = entry + product(j + k + 1, i - k) - product(i - k, j + k + 1)
             row.append(entry)
         bezout.append(row)
 

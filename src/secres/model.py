@@ -138,9 +138,13 @@ class MatrixModel:
 
 
 def load_model(path: str | Path) -> MatrixModel:
-    """Read a model JSON file; the model checks its own invariants."""
+    """Read a model JSON file; the model checks its own invariants.  A file
+    nested too deeply for the JSON decoder raises ModelFormatError."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:  # a thousand '[' exhaust the JSON decoder
+            raise ModelFormatError("model file nests too deeply") from None
     if not isinstance(data, dict):
         raise ModelFormatError("model file must contain a JSON object")
     return MatrixModel.from_dict(data)

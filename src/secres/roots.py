@@ -74,17 +74,21 @@ def _horner(coeffs: np.ndarray, shape: tuple[int, int]):
     windows = [planes[k : k + 2] for k in range(len(planes) - 1)]
     steps = list(zip(windows, windows[1:]))
     descending = np.broadcast_to(coeffs[::-1, None, :], planes[2:].shape)
+    value, slope = planes[-1], planes[-2]
     zz = np.empty((2, *shape), dtype=complex)
     product = np.empty_like(zz)
+    # bound once and given their outputs positionally: at a few points a
+    # call costs more than its arithmetic
+    multiply, add = np.multiply, np.add
 
     def evaluate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         planes[:2] = 0.0
         planes[2:] = descending
         zz[:] = z
         for window, following in steps:
-            np.multiply(window, zz, out=product)
-            np.add(product, following, out=following)
-        return planes[-1], planes[-2]
+            multiply(window, zz, product)
+            add(product, following, following)
+        return value, slope
 
     return evaluate
 
@@ -176,6 +180,8 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     moving = np.ones(z.shape, dtype=bool)
     count = np.zeros(z.shape, dtype=int)
     horner = _horner(c, w.shape)
+    # the reductions' own ufuncs: ndarray.any and .all wrap them in Python
+    any_of, all_of = np.logical_or.reduce, np.logical_and.reduce
     for _ in range(MAX_ITERATIONS):
         p, dp = horner(w)
         newton = p / dp
@@ -189,9 +195,10 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         # a strided one left to right, so j is summed where it lies below
         # degree 4 or when M is 1, and is copied to the last axis otherwise.
         if degree < 4 or z.shape[1] == 1:
-            repulsion = inverse.sum(axis=1)
+            repulsion = np.add.reduce(inverse, 1)
         else:
-            repulsion = np.ascontiguousarray(inverse.transpose(0, 2, 1)).sum(axis=2)
+            repulsion = np.add.reduce(
+                np.ascontiguousarray(inverse.transpose(0, 2, 1)), 2)
         # keep the sum named: numpy multiplies into an unnamed temporary of
         # 256 KiB or more in place, without the fused multiply-add of its
         # vector loop, and a large batch would round unlike a lone polynomial
@@ -199,15 +206,15 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         step = newton / denominator
         flat = denominator == 0
         np.copyto(step, newton, where=flat)
-        exact = p == 0
-        hold = exact | ~moving  # frozen roots stay
+        hold = (p == 0) | ~moving  # frozen roots stay
         # nudge off a critical point; keeps the iteration alive
-        stalled = (dp == 0) & ~hold
-        nudged = stalled.any()
+        critical = dp == 0
+        nudged = any_of(critical, None)
         if nudged:
+            stalled = critical & ~hold
             scales = np.broadcast_to(r, w.shape)[stalled]
             step[stalled] = -DEFAULT_TOL * (scales + np.abs(w[stalled]))
-        step[hold] = 0.0
+        np.copyto(step, 0.0, where=hold)
         w = w - step
         if w.shape[0] == degree:
             z = w
@@ -219,17 +226,17 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         count += moving
         moving = relative >= DEFAULT_TOL  # a held root's step is 0
 
-        bad = ~np.isfinite(w).all(axis=0)
-        done = ~moving.any(axis=0)
-        stop = done | bad
-        changed = stop.any()
+        finite = all_of(np.isfinite(w), 0)
+        going = any_of(moving, 0)
+        keep = finite & going
+        changed = not all_of(keep)
         if changed:
+            stop = ~keep
             leaving = active[stop]
             roots[:, leaving] = z.compress(stop, axis=1)
             iterations[rows[:, None], leaving] = count.compress(stop, axis=1)
-            converged[leaving] = done[stop] & ~bad[stop]
-            failed[leaving] = bad[stop]
-            keep = ~stop
+            converged[leaving] = finite[stop] & ~going[stop]
+            failed[leaving] = ~finite[stop]
             active, r = active[keep], r[keep]
             # compress: boolean indexing on the batch axis is slower
             c, z, moving, count = (
@@ -238,12 +245,11 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
             if not active.size:
                 break
         if w.shape[0] > 2:
-            idle = ~moving.any(axis=1)
-            if idle.any():
+            keep = any_of(moving, 1)
+            if not all_of(keep):
                 # keep two rows: numpy multiplies a one-element array
                 # without the fused multiply-add of its vector loop
-                keep = ~idle
-                keep[np.flatnonzero(idle)[: max(0, 2 - keep.sum())]] = True
+                keep[np.flatnonzero(~keep)[: max(0, 2 - keep.sum())]] = True
                 iterations[rows[~keep, None], active] = count[~keep]
                 rows, w, moving, count = rows[keep], w[keep], moving[keep], count[keep]
                 changed = True

@@ -80,6 +80,16 @@ def test_validate_model_format_errors(tmp_path, capsys, overrides, message):
     assert err == f"error: ModelFormatError: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "ep", "table1"])
+def test_deeply_nested_model_file_exits_2(tmp_path, capsys, command):
+    # a thousand '[' exhaust the JSON decoder, which raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 1000)
+    code, out, err = run(capsys, command, "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: ModelFormatError: model file nests too deeply\n"
+
+
 FAULT_TYPES = sorted(
     {value for value in map(secres.__dict__.get, secres.__all__)
      if isinstance(value, type) and issubclass(value, Exception)}
@@ -604,7 +614,9 @@ def test_ep_with_a_constant_discriminant_exits_2(tmp_path, capsys, data, argv):
 def test_block_model_exact_ep_is_the_coupled_pair_s_branch_point(tmp_path, capsys):
     # the exact discriminant also has double roots at +-sqrt(8) and
     # +-sqrt(24), where a level of the coupled pair crosses h0 = 1 or 0;
-    # the EPs are the simple roots +-i, where 0.25 + 0.25 lambda^2 = 0
+    # the EPs are the simple roots +-i, where 0.25 + 0.25 lambda^2 = 0;
+    # the double roots stop by chance at the rounding floor (iterations
+    # 40-439 of 500), so a change to Aberth's rounding can fail this test
     path = tmp_path / "model.json"
     path.write_text(json.dumps(UNREACHED))
     code, out, err = run(capsys, "ep", "--exact", "--model", str(path))

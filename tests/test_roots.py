@@ -316,6 +316,29 @@ def test_horner_workspace_matches_textbook_loop(columns):
                 assert got[1].tobytes() == want[1].tobytes()
 
 
+@pytest.mark.parametrize("columns", [1, 3])
+def test_horner_workspace_at_two_points_matches_textbook_loop(columns):
+    # the shape a solve runs in once only two rows still move (a failing
+    # solve spends hundreds of iterations there): 2 points per column
+    rng = np.random.default_rng(100 + columns)
+    for degree in range(1, 81):
+        for decades in (0, 8):
+            coeffs = _signed_parts(rng, (degree + 1, columns), decades)
+            evaluate = _horner(coeffs, (2, columns))
+            for _ in range(2):
+                z = _signed_parts(rng, (2, columns), decades)
+                z[rng.random(z.shape) < 0.1] = 0.0
+                with np.errstate(all="ignore"):
+                    if columns == 1:
+                        twice = horner_pair(np.hstack([coeffs] * 2).T, np.hstack([z] * 2).T)
+                        want = [plane[:1].T for plane in twice]
+                    else:
+                        want = [plane.T for plane in horner_pair(coeffs.T, z.T)]
+                    got = evaluate(z)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+
+
 def test_iteration_cap_golden():
     # a degree-80 discriminant that runs into MAX_ITERATIONS; any change in
     # rounding moves its unconverged iterates
