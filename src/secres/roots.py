@@ -30,7 +30,7 @@ is solved alone or as a column of a batch, at every degree and size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -71,12 +71,16 @@ def _horner(coeffs: np.ndarray, shape: tuple[int, int]):
     as views into it, valid until the next call.
     """
     planes = np.empty((coeffs.shape[0] + 2, *shape), dtype=complex)
-    windows = [planes[k : k + 2] for k in range(len(planes) - 1)]
+    # the windows are flat slices of the buffer: a 1-D call costs numpy less
+    size = shape[0] * shape[1]
+    flat = planes.reshape(-1)
+    windows = [flat[k * size : (k + 2) * size] for k in range(len(planes) - 1)]
     steps = list(zip(windows, windows[1:]))
     descending = np.broadcast_to(coeffs[::-1, None, :], planes[2:].shape)
     value, slope = planes[-1], planes[-2]
     zz = np.empty((2, *shape), dtype=complex)
-    product = np.empty_like(zz)
+    pair = zz.reshape(-1)
+    product = np.empty_like(pair)
     # bound once and given their outputs positionally: at a few points a
     # call costs more than its arithmetic
     multiply, add = np.multiply, np.add
@@ -86,14 +90,14 @@ def _horner(coeffs: np.ndarray, shape: tuple[int, int]):
         planes[2:] = descending
         zz[:] = z
         for window, following in steps:
-            multiply(window, zz, product)
+            multiply(window, pair, product)
             add(product, following, following)
         return value, slope
 
     return evaluate
 
 
-@cache
+@lru_cache(maxsize=16)
 def _circles(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tables for the starts of degree n: b - a at [a, b - 1], the unit roots
     exp(2 pi i j/d) at [d*n + j], and at [a*(n+1) + d] the turn of the
@@ -167,6 +171,14 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     terms in one order whatever M is, so a column's roots do not depend on
     the other columns.  Returns the roots, the iteration at which each
     stopped, and each column's converged and non-finite flags.
+
+    The common step, in which every working root moves, makes about 20
+    numpy calls beside Horner's: the step, the hold of roots with p = 0 and
+    one test that every root moved, which also shows every iterate finite.
+    The flat-denominator fallback, the nudge off a critical point and the
+    bookkeeping of stopped columns and rows run only in a step in which
+    some root stopped or went non-finite; a zero denominator or p' = 0 at a
+    moving root always makes its trial iterate non-finite.
     """
     degree, columns = coeffs.shape[0] - 1, coeffs.shape[1]
     roots, scale = _starts(coeffs)
@@ -178,6 +190,7 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     z, c, r = roots.copy(), coeffs, scale
     w = z  # the working rows of z, z itself while it has every row
     moving = np.ones(z.shape, dtype=bool)
+    all_moving = True
     count = np.zeros(z.shape, dtype=int)
     horner = _horner(c, w.shape)
     # the reductions' own ufuncs: ndarray.any and .all wrap them in Python
@@ -186,9 +199,8 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         p, dp = horner(w)
         newton = p / dp
         diff = w[:, None, :] - z[None, :, :]  # [i, j, m] = w_i - z_j
-        coincide = diff == 0
-        inverse = np.divide(1.0, diff, out=diff)  # in place: the largest array
-        np.putmask(inverse, coincide, 0.0)
+        # in place, the largest array; 0 where w_i and z_j coincide
+        inverse = np.divide(1.0, diff, out=diff, where=diff != 0)
         # The sum over j must add a column's terms in the order numpy uses
         # for a lone polynomial, whose j axis is contiguous.  numpy sums a
         # contiguous complex axis pairwise (left to right below 4 terms) and
@@ -204,29 +216,45 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         # vector loop, and a large batch would round unlike a lone polynomial
         denominator = 1.0 - newton * repulsion
         step = newton / denominator
-        flat = denominator == 0
-        np.copyto(step, newton, where=flat)
-        hold = (p == 0) | ~moving  # frozen roots stay
-        # nudge off a critical point; keeps the iteration alive
-        critical = dp == 0
-        nudged = any_of(critical, None)
-        if nudged:
-            stalled = critical & ~hold
-            scales = np.broadcast_to(r, w.shape)[stalled]
-            step[stalled] = -DEFAULT_TOL * (scales + np.abs(w[stalled]))
+        hold = p == 0
+        if not all_moving:
+            hold |= ~moving  # frozen roots stay
         np.copyto(step, 0.0, where=hold)
-        w = w - step
+        trial = w - step
+        relative = np.abs(step) / (r + np.abs(trial))
+        count += moving
+        moving = relative >= DEFAULT_TOL  # a held root's step is 0
+        # relative is NaN or 0 at a non-finite iterate, so a step in which
+        # every root moves is finite and stops nothing
+        all_moving = all_of(moving, None)
+        if not all_moving:
+            finite = all_of(np.isfinite(trial), 0)
+            if not all_of(finite):
+                # a flat denominator, or p' = 0 on a root that is not held,
+                # made its step non-finite: step by Newton's correction
+                # instead, or nudge off the critical point
+                np.copyto(step, newton, where=denominator == 0)
+                critical = dp == 0
+                nudged = any_of(critical, None)
+                if nudged:
+                    stalled = critical & ~hold
+                    scales = np.broadcast_to(r, w.shape)[stalled]
+                    step[stalled] = -DEFAULT_TOL * (scales + np.abs(w[stalled]))
+                np.copyto(step, 0.0, where=hold)
+                trial = w - step
+                relative = np.abs(step) / (r + np.abs(trial))
+                if nudged:
+                    relative[stalled] = np.inf
+                moving = relative >= DEFAULT_TOL
+                finite = all_of(np.isfinite(trial), 0)
+        w = trial
         if w.shape[0] == degree:
             z = w
         else:
             z[rows] = w
-        relative = np.abs(step) / (r + np.abs(w))
-        if nudged:
-            relative[stalled] = np.inf
-        count += moving
-        moving = relative >= DEFAULT_TOL  # a held root's step is 0
+        if all_moving:
+            continue
 
-        finite = all_of(np.isfinite(w), 0)
         going = any_of(moving, 0)
         keep = finite & going
         changed = not all_of(keep)

@@ -10,7 +10,9 @@ zheng3 fixture and each of those models through ``secres.cli.main`` of this
 checkout, in one process.  Each command prints one line: a label without
 paths, the exit code, and the sha256 of its stdout and of its stderr.  Two
 checkouts whose outputs are byte-identical print identical files, so a diff
-of two runs lists every command whose output changed.  The file name keeps
+of two runs lists every command whose output changed.
+``tests/golden/cli_digest.txt`` holds the digest of the committed code, and
+CI diffs a fresh run against it.  The file name keeps
 pytest from collecting it; a run takes about 20 s.
 """
 

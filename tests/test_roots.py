@@ -168,6 +168,14 @@ def test_far_roots_of_a_sparse_polynomial_converge():
     assert np.abs(np.abs(result.roots) - 1e8 ** (1 / 80)).max() <= 1e-14
 
 
+def test_start_tables_are_kept_for_at_most_16_degrees():
+    # a table of degree n holds O(n^2) numbers; a process that solves many
+    # degrees must not keep one for each
+    for degree in range(2, 41):
+        all_roots([-1.0] + [0.0] * (degree - 1) + [1.0])
+    assert secres.roots._circles.cache_info().currsize <= 16
+
+
 def test_root_started_on_a_critical_point_is_nudged_off(monkeypatch):
     # z^2 - 1 has p' = 0 at its start 0, so that root's Newton correction
     # p/p' is infinite; the nudge moves it by a relative DEFAULT_TOL instead
@@ -177,6 +185,19 @@ def test_root_started_on_a_critical_point_is_nudged_off(monkeypatch):
     assert result.converged
     assert sort_roots(result.roots[:, 0]) == pytest.approx([-1.0, 1.0], abs=1e-15)
     assert result.iterations[0, 0] > 1
+
+
+def test_flat_denominator_steps_by_newton(monkeypatch):
+    # z^2 - 1 from starts 2 and 1.25: at 2 the Newton correction 3/4 times
+    # the repulsion 1/(2 - 1.25) is exactly 1, so 1 - newton*repulsion is 0
+    # on the first step and that root takes the plain Newton step instead
+    starts = np.array([[2.0], [1.25]], dtype=complex)
+    monkeypatch.setattr(secres.roots, "_starts", lambda coeffs: (starts, np.ones(1)))
+    result = all_roots([-1.0, 0.0, 1.0])
+    assert result.converged
+    assert [[z.real.hex(), z.imag.hex()] for z in result.roots[:, 0].tolist()] == [
+        ["-0x1.0000000000000p+0", "0x0.0p+0"], ["0x1.0000000000000p+0", "0x0.0p+0"]]
+    assert result.iterations[:, 0].tolist() == [6, 6]
 
 
 # degree 3 and 4 straddle the length at which numpy's sum of a contiguous
