@@ -66,5 +66,5 @@ def exact_eigenvalues_at(
     eigenvalues = np.full(stack.shape[:2], np.nan)
     eigenvalues[finite] = np.linalg.eigvalsh(stack[finite])
     failing = np.flatnonzero(~np.isfinite(eigenvalues).all(axis=1)).tolist()
-    return eigenvalues, {index: f"non-finite eigenvalue at lambda={lams[index]!r}"
+    return eigenvalues, {index: f"non-finite eigenvalue at lambda={float(lams[index])!r}"
                          for index in failing}

@@ -8,10 +8,10 @@ of a coefficient array.  The batch stays on the last, contiguous axis, from
 (degree+1, M) coefficients to (degree, M) roots: numpy's inner loops run
 fastest along the long axis, and a sweep solves 1001 polynomials of two or
 three roots at once.  Starting points sit on Bini's circles, one per edge
-of the Newton polygon of the coefficients, so each polynomial is solved at
-its own scale whatever the units or the span of its coefficients (Bini
-1996).  Each root stops once its own step is small relative to that scale;
-a stopped root no longer moves but still repels the others, and a
+of the Newton polygon, computed afresh by each call, so each polynomial is
+solved at its own scale whatever the units or the span of its coefficients
+(Bini 1996).  Each root stops once its own step is small relative to that
+scale; a stopped root no longer moves but still repels the others, and a
 polynomial is done when all its roots have stopped (as in MPSolve; Bini and
 Fiorentino 2000).  Multiple roots come back as near-coincident simple
 roots.  Clustering them and wording a failed solve are the caller's job.
@@ -30,7 +30,6 @@ is solved alone or as a column of a batch, at every degree and size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -97,63 +96,39 @@ def _horner(coeffs: np.ndarray, shape: tuple[int, int]):
     return evaluate
 
 
-@lru_cache(maxsize=16)
-def _circles(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables for the starts of degree n: b - a at [a, b - 1], the unit roots
-    exp(2 pi i j/d) at [d*n + j], and at [a*(n+1) + d] the turn of the
-    circle of d points from slot a to slot b = a + d.
-
-    A circle is turned by b/n of a turn, as in MPSolve (Bini and Fiorentino
-    2000), plus the irrational _ANGLE_OFFSET, which keeps starts off the
-    axes of symmetry, and a/n^2 of it, which keeps apart two circles of one
-    radius that rounding split from one edge.
-    """
-    k = np.arange(degree + 1)
-    span = (k[1:] - k[:, None]).astype(float)
-    d, j = np.divmod(np.arange((degree + 1) * degree), degree)
-    unit = np.exp(2j * np.pi * j / np.maximum(d, 1))
-    a, d = np.divmod(np.arange((degree + 1) ** 2), degree + 1)
-    turn = np.exp(2j * np.pi * (
-        _ANGLE_OFFSET * (1 + a / degree**2) + (a + d) / degree))
-    for table in (span, unit, turn):
-        table.flags.writeable = False  # shared by every call of this degree
-    return span, unit, turn
-
-
 def _starts(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bini's starting points for the columns of coeffs, and the smallest
     nonzero start radius of each column.
 
     Each edge a -> b of the upper convex hull of the points (k, log|c_k|)
-    gives a circle of radius (|c_a|/|c_b|)^(1/(b-a)) with b-a points evenly
-    spaced on it (Bini 1996).  The hull's slope over slot k (from k to k+1)
-    is the smallest, over a <= k, of the steepest slope from a to any b > k.
-    The slope falls with k, so an edge is a run of slots with one slope.
-    Slots below the lowest nonzero coefficient get radius 0: the exact zero
-    roots.
+    gives a circle of radius (|c_a|/|c_b|)^(1/(b-a)), on which slot k starts
+    at exp(2 pi i (k-a)/(b-a)) (Bini 1996), turned by b/n of a turn as in
+    MPSolve (Bini and Fiorentino 2000), by the irrational _ANGLE_OFFSET to
+    keep off the axes of symmetry and by a/n^2 of it to part two circles of
+    one radius that rounding split from one edge.  The hull's slope over
+    slot k is the smallest, over a <= k, of the steepest slope from a to any
+    b > k; it falls with k, so an edge is a run of slots with one slope.
+    Slots below the lowest nonzero coefficient get radius 0: exact zeros.
     """
     degree = coeffs.shape[0] - 1
-    span, unit, turn = _circles(degree)
+    span = np.arange(1.0, degree + 1) - np.arange(degree + 1.0)[:, None]  # [a, b - 1]
     log_modulus = np.log(np.abs(coeffs))
-    below = span <= 0  # [a, b - 1]: b <= a, no edge
     slope = (log_modulus[None, 1:] - log_modulus[:, None]) / span[:, :, None]
-    slope[below] = -np.inf
+    slope[span <= 0] = -np.inf  # b <= a, no edge
     # suffix maxima by doubling: [a, k] becomes the steepest slope to a b > k
     shift = 1
     while shift < degree:
         np.fmax(slope[:, :-shift], slope[:, shift:], out=slope[:, :-shift])
         shift *= 2
-    slope[below] = np.inf  # a > k
+    slope[span <= 0] = np.inf  # a > k
     hull = np.fmin.reduce(slope, axis=0)
     radius = np.exp(-hull)
     first = (hull[:, None] > hull).sum(axis=0)  # a: steeper slots come first
     points = (hull[:, None] == hull).sum(axis=0)  # d = b - a
-    circle = unit[points * degree + np.arange(degree)[:, None] - first]
-    rotation = turn[first * (degree + 1) + points]
-    roots = radius * circle
-    roots *= rotation
-    scale = np.min(np.where(radius > 0, radius, np.inf), axis=0)
-    return roots, scale
+    roots = radius * np.exp(2j * np.pi * (np.arange(degree)[:, None] - first) / points)
+    roots *= np.exp(2j * np.pi * (
+        _ANGLE_OFFSET * (1 + first / degree**2) + (first + points) / degree))
+    return roots, np.min(np.where(radius > 0, radius, np.inf), axis=0)
 
 
 def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

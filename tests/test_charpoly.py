@@ -9,6 +9,7 @@ from secres import (
     Polynomial,
     characteristic_polynomial,
     eigenvalues_at,
+    exact_eigenvalues_at,
 )
 
 from conftest import roots_at
@@ -96,6 +97,15 @@ def test_exact_eigenvalues_at_zero(zheng3):
     roots = roots_at(eigenvalues_at, cp, 0.0)
     assert [z.real for z in roots] == pytest.approx([1.0, 1.1, 2.0], abs=1e-10)
     assert max(abs(z.imag) for z in roots) < 1e-10
+
+
+def test_exact_eigenvalues_failure_words_an_array_coupling_as_a_float():
+    # H(1e308) overflows; an ndarray grid names the coupling as a list does,
+    # not by numpy's repr np.float64(1e+308)
+    model = MatrixModel(2, (0.0, 1.0), ((1, 2, 2.0),), (1,))
+    values, failures = exact_eigenvalues_at(model, np.array([0.5, 1e308]))
+    assert np.isfinite(values[0]).all() and np.isnan(values[1]).all()
+    assert failures == {1: "non-finite eigenvalue at lambda=1e+308"}
 
 
 def test_no_crossing_on_real_axis(zheng3):

@@ -431,6 +431,23 @@ def test_sweep_exact_failure_marks_row(tmp_path, capsys, monkeypatch):
     assert got[2] == want[2][:1] + ["nan"] * 9 + ["a; b"]
 
 
+def test_sweep_failure_marks_a_complex_row(capsys, monkeypatch):
+    # eff_K4 shows imaginary parts from lambda = 1.05 on: its failed cells,
+    # and the later eff_K6 ones, read bare nan with no imaginary part
+    want = (GOLDEN / "sweep.csv").read_text().splitlines()
+    failing = failing_at(cli.eigenvalues_at, 1.5, order=4)
+    monkeypatch.setattr(cli, "eigenvalues_at", failing)
+    code, out, err = run(capsys, "sweep", "--model", MODEL, "--orders", "2,4,6",
+                         "--steps", "41", "--lambda-min", "0", "--lambda-max", "2")
+    assert code == 0 and err == ""
+    got = out.splitlines()
+    row = 31  # the header, then lambda = 0, 0.05, ..., 1.5
+    assert got[:row] + got[row + 1:] == want[:row] + want[row + 1:]
+    cells, golden = got[row].split(","), want[row].split(",")
+    assert float(cells[0]) == 1.5 and golden[6].endswith("j") and golden[-1] == ""
+    assert cells == golden[:6] + ["nan"] * 4 + ["a; b"]
+
+
 @pytest.mark.parametrize("argv", [
     ("series", "--model", MODEL, "--order", "-1"),
     ("ep", "--model", MODEL, "--orders", "2,x"),

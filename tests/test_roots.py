@@ -168,14 +168,6 @@ def test_far_roots_of_a_sparse_polynomial_converge():
     assert np.abs(np.abs(result.roots) - 1e8 ** (1 / 80)).max() <= 1e-14
 
 
-def test_start_tables_are_kept_for_at_most_16_degrees():
-    # a table of degree n holds O(n^2) numbers; a process that solves many
-    # degrees must not keep one for each
-    for degree in range(2, 41):
-        all_roots([-1.0] + [0.0] * (degree - 1) + [1.0])
-    assert secres.roots._circles.cache_info().currsize <= 16
-
-
 def test_root_started_on_a_critical_point_is_nudged_off(monkeypatch):
     # z^2 - 1 has p' = 0 at its start 0, so that root's Newton correction
     # p/p' is infinite; the nudge moves it by a relative DEFAULT_TOL instead
