@@ -1,4 +1,4 @@
-"""Discriminants in the coupling ring and exceptional-point location.
+"""Discriminants of energy polynomials and exceptional-point location.
 
 For a monic polynomial p of degree N in the energy variable, the
 discriminant prod_{i<j} (E_i - E_j)^2 is the determinant of the N x N
@@ -9,6 +9,15 @@ perturbation series.  Exceptional points are returned as plain complex
 couplings, grouped into symmetry partners (conjugates, +-lambda) by modulus;
 this is the only place that grouping is done.
 
+The Bezout entries and the cofactor expansion run on float arrays with the
+coefficients on the last axis, yet each coefficient is the one a
+term-by-term Polynomial expansion gives, bit for bit.  Past a polynomial's
+length an addend holds -0.0, the identity of IEEE addition, so a padded
+sum copies the longer operand's tail as Polynomial.__add__ does; a
+subtrahend holds +0.0 there, as x - (+0.0) is x.  A product sums its terms
+in ascending order from +0.0 and skips zero factors, as Polynomial.mul
+does, so it never holds -0.0 and a zero term adds nothing.
+
 The discriminant of an order-K reconstruction is deliberately NOT
 re-truncated at lambda^K: its small roots at full length are what converge
 to the true coalescence points as K grows.
@@ -17,8 +26,10 @@ to the true coalescence points as K grows.
 from __future__ import annotations
 
 import cmath
-from functools import cache
+from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     DegreeTooSmall, InvariantViolation, RootFindingFailure, failed_solve,
@@ -30,27 +41,95 @@ from .series import MonicPolynomial, Polynomial
 MODULUS_TIE_TOL = 1e-12
 
 
-def _det(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Cofactor determinant over the lambda-polynomial ring.
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a * b over the lambda ring, coefficients on the last axis.
+
+    The leading axes of a and b broadcast to the batch of products.  Each
+    coefficient sums its terms a_i * b_j in ascending i from +0.0 and skips
+    a_i == 0 (0 * inf is nan), as Polynomial.mul does, so a finite product
+    reads +0.0 past its length.
+    """
+    rows, cols = a.shape[-1], b.shape[-1]
+    batch = np.broadcast(a[..., 0], b[..., 0]).shape
+    terms = np.empty(batch + (rows, rows + cols - 1))
+    terms.fill(-0.0)
+    # a_i b_j goes to row i, column i + j; the -0.0 elsewhere adds nothing
+    row_step, step = terms.strides[-2:]
+    skewed = np.ndarray(batch + (rows, cols), terms.dtype, terms, 0,
+                        terms.strides[:-2] + (row_step + step, step))
+    np.multiply(a[..., :, None], b[..., None, :], out=skewed)
+    # numpy reduces along the row axis term after term: it pairs terms up
+    # only along the contiguous axis, whose length is 1 only for one row
+    return np.add.reduce(terms, axis=-2, where=(a != 0.0)[..., None], initial=0.0)
+
+
+def _tails(products: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """True where a coefficient lies past its polynomial's length."""
+    return np.arange(products.shape[-1]) >= lengths[..., None]
+
+
+def _bezout(p: list[Polynomial]) -> tuple[np.ndarray, np.ndarray]:
+    """Bezout matrix of p and dp/dE: entries B[i, j, :] and their lengths."""
+    degree = len(p)
+    # ascending energy coefficients of p (monic), one row each and padded
+    # with +0.0, then the zero polynomial; g = dp/dE takes rows 1 on
+    f = [q.coefficients for q in reversed(p)] + [(1.0,), (0.0,)]
+    f_len = [len(c) for c in f]
+    width = max(f_len)
+    f = np.array([c + (0.0,) * (width - len(c)) for c in f])
+    g = np.arange(1.0, degree + 2)[:, None] * f[1:]
+    # every product f[a] g[b], and its addend form: -0.0, the identity of
+    # IEEE addition, past its length, so that a sum keeps the other operand
+    product_len = np.add.outer(f_len[:-1], f_len[1:]) - 1
+    product = _products(f[:-1, None], g)
+    addend = np.where(_tails(product, product_len), -0.0, product)
+
+    # (f(x)g(y) - f(y)g(x)) / (x - y) = sum B[i][j] x^i y^j, where B[i][j]
+    # starts from (0.0,), adds f[j+k+1] g[i-k] and subtracts f[i-k] g[j+k+1]
+    # for k = 0, 1, ... while k <= i and j + k < N: at step k, the block
+    # i >= k, j < N - k.  0.0 + x is x for every product coefficient x
+    # (none is -0.0), so step 0 starts from the addend itself.
+    entries = addend[1:, :degree].transpose(1, 0, 2) - product[:degree, 1:]
+    step_len = np.maximum(product_len, product_len.T)
+    lengths = step_len[:degree, 1:].copy()
+    for k in range(1, degree):
+        block, block_len = entries[k:, :degree - k], lengths[k:, :degree - k]
+        np.add(block, addend[k + 1:, :degree - k].transpose(1, 0, 2), out=block)
+        np.subtract(block, product[:degree - k, k + 1:], out=block)
+        np.maximum(block_len, step_len[:degree - k, k + 1:], out=block_len)
+    return entries, lengths
+
+
+def _expand(entries: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Coefficients of the cofactor determinant of Bezout entries.
 
     The expansion runs down the rows, so a minor is fixed by the columns it
-    keeps; each is computed once, N*2^N products instead of N!, in the
-    order the plain expansion would use.
+    keeps; the minors of one size come from one batch of products and one
+    alternating sum over positions, N*2^(N-1) - N products in all, each in
+    the order the plain expansion would use.
     """
-    size = len(matrix)
-
-    @cache
-    def minor(columns: tuple[int, ...]) -> Polynomial:
-        row = matrix[size - len(columns)]
-        if len(columns) == 1:
-            return row[columns[0]]
-        total = Polynomial((0.0,))
-        for position, col in enumerate(columns):
-            term = row[col].mul(minor(columns[:position] + columns[position + 1:]))
-            total = total - term if position % 2 else total + term
-        return total
-
-    return minor(tuple(range(size)))
+    size = len(entries)
+    minors, minor_len = entries[-1], lengths[-1]
+    kept = [(c,) for c in range(size)]
+    for count in range(2, size + 1):
+        index = {columns: n for n, columns in enumerate(kept)}
+        kept = list(combinations(range(size), count))
+        columns = np.array(kept)
+        rest = np.array([[index[c[:p] + c[p + 1:]] for p in range(count)] for c in kept])
+        row = size - count
+        term_len = lengths[row, columns] + minor_len[rest] - 1
+        terms = _products(entries[row, columns], minors[rest])
+        # even positions are added, so their tails turn to -0.0; odd ones
+        # are subtracted, and x - (+0.0) is x.  As in the Bezout entries,
+        # the sum from (0.0,) starts from the first term itself.
+        added = terms[:, ::2]
+        np.copyto(added, -0.0, where=_tails(added, term_len[:, ::2]))
+        minors = terms[:, 0] - terms[:, 1]
+        for position in range(2, count):
+            operation = np.subtract if position % 2 else np.add
+            operation(minors, terms[:, position], out=minors)
+        minor_len = term_len.max(axis=1)
+    return minors[0, :minor_len[0]]
 
 
 def discriminant(poly: MonicPolynomial) -> Polynomial:
@@ -66,27 +145,9 @@ def discriminant(poly: MonicPolynomial) -> Polynomial:
                              f"has fewer than 2 eigenvalues to meet")
     p = [q.trimmed() for q in poly.coefficients]
     degree_cap = degree * (degree - 1) * max(q.degree for q in p)
-
-    # ascending energy coefficients of p (monic) and of g = dp/dE
-    f = p[::-1] + [Polynomial((1.0,))]
-    g = [f[m + 1].scale(float(m + 1)) for m in range(degree)] + [Polynomial((0.0,))]
-
-    @cache
-    def product(a: int, b: int) -> Polynomial:
-        return f[a].mul(g[b])  # each one recurs in many entries
-
-    # Bezout matrix: (f(x)g(y) - f(y)g(x)) / (x - y) = sum B[i][j] x^i y^j
-    bezout = []
-    for i in range(degree):
-        row = []
-        for j in range(degree):
-            entry = Polynomial((0.0,))
-            for k in range(min(i, degree - 1 - j) + 1):
-                entry = entry + product(j + k + 1, i - k) - product(i - k, j + k + 1)
-            row.append(entry)
-        bezout.append(row)
-
-    disc = _det(bezout).checked_finite().trimmed()
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = _expand(*_bezout(p))
+    disc = Polynomial(tuple(coefficients.tolist())).checked_finite().trimmed()
     if disc.degree > degree_cap:
         raise InvariantViolation(
             f"discriminant degree {disc.degree} exceeds cap {degree_cap}"

@@ -51,9 +51,6 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + Polynomial(tuple(-c for c in other.coefficients))
 
-    def scale(self, factor: float) -> "Polynomial":
-        return Polynomial(tuple(factor * c for c in self.coefficients))
-
     def mul(self, other: "Polynomial", order: int | None = None) -> "Polynomial":
         """Product; with an order K, the Cauchy product's K+1 lowest terms."""
         b = other.coefficients

@@ -13,7 +13,11 @@ can require the faster form to give the same bits.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
+
+from secres import Polynomial
 
 
 def poly_mul(a, b):
@@ -248,3 +252,67 @@ def cofactor_det(matrix):
         term = matrix[0][col].mul(cofactor_det(minor))
         total = total - term if col % 2 else total + term
     return total
+
+
+def bezout_det(matrix):
+    """Cofactor determinant over the lambda-polynomial ring.
+
+    The expansion runs down the rows, so a minor is fixed by the columns it
+    keeps; each is computed once, N*2^N products instead of N!, in the
+    order the plain expansion would use.
+    """
+    size = len(matrix)
+
+    @cache
+    def minor(columns):
+        row = matrix[size - len(columns)]
+        if len(columns) == 1:
+            return row[columns[0]]
+        total = Polynomial((0.0,))
+        for position, col in enumerate(columns):
+            term = row[col].mul(minor(columns[:position] + columns[position + 1:]))
+            total = total - term if position % 2 else total + term
+        return total
+
+    return minor(tuple(range(size)))
+
+
+def bezout_matrix(poly):
+    """N x N Bezout matrix of a monic polynomial p and dp/dE over the ring.
+
+    The coefficients p_j are trimmed first, as the discriminant does.
+    """
+    degree = poly.degree
+    p = [q.trimmed() for q in poly.coefficients]
+
+    # ascending energy coefficients of p (monic) and of g = dp/dE
+    f = p[::-1] + [Polynomial((1.0,))]
+    g = [Polynomial(tuple(float(m + 1) * c for c in f[m + 1].coefficients))
+         for m in range(degree)] + [Polynomial((0.0,))]
+
+    @cache
+    def product(a, b):
+        return f[a].mul(g[b])  # each one recurs in many entries
+
+    # Bezout matrix: (f(x)g(y) - f(y)g(x)) / (x - y) = sum B[i][j] x^i y^j
+    bezout = []
+    for i in range(degree):
+        row = []
+        for j in range(degree):
+            entry = Polynomial((0.0,))
+            for k in range(min(i, degree - 1 - j) + 1):
+                entry = entry + product(j + k + 1, i - k) - product(i - k, j + k + 1)
+            row.append(entry)
+        bezout.append(row)
+    return bezout
+
+
+def bezout_discriminant(poly):
+    """The discriminant as a cofactor expansion of Polynomial entries.
+
+    This is the ring form of secres.discriminant.discriminant: the same
+    Bezout entries and minors, built one Polynomial operation at a time, so
+    the array form must return its coefficients bit for bit.  A non-finite
+    coefficient raises InvariantViolation, naming the first one.
+    """
+    return bezout_det(bezout_matrix(poly)).checked_finite().trimmed()

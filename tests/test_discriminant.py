@@ -1,4 +1,5 @@
 import cmath
+import gc
 import importlib
 
 import numpy as np
@@ -22,12 +23,15 @@ from secres.cli import main
 
 from conftest import ZHENG3_PATH, roots_at
 from oracles import (
+    bezout_discriminant,
+    bezout_matrix,
     cofactor_det,
     cubic_discriminant_value,
     hamiltonian_at,
     quadratic_discriminant_value,
     random_model_data,
 )
+from test_cli import OVERFLOW_DISC
 
 EXACT_EP1_MODULUS = 0.05139217757
 EXACT_EP2 = 0.2381164319 + 0.5028706167j
@@ -123,26 +127,86 @@ def bits(poly):
     return np.asarray(poly.coefficients).tobytes()
 
 
+def seeded_model(dim, p_space=(1,), seed=100):
+    h0, interaction = random_model_data(np.random.default_rng(seed + dim), dim)
+    return MatrixModel(dim, h0, interaction, p_space)
+
+
+# exact zeros (and -0.0) in the p_j: the (2, 3) coupling is 0.0 and two
+# pairs are uncoupled
+ZERO_COUPLING = MatrixModel(4, (0.0, 1.0, 2.5, 4.0),
+                            ((1, 2, 0.5), (2, 3, 0.0), (3, 4, 0.7), (1, 4, 0.3)), (1, 2))
+
+
+RING_CASES = {
+    **{f"exact-D{dim}": lambda dim=dim: characteristic_polynomial(seeded_model(dim))
+       for dim in range(2, 10)},
+    **{f"N{n}-K{k}": lambda n=n, k=k: reconstruct(p_space_series(
+        seeded_model(6, tuple(range(1, n + 1)), seed=200 + n), k))
+       for n in range(2, 6) for k in (2, 6, 20, 40)},
+    "zero-coupling-exact": lambda: characteristic_polynomial(ZERO_COUPLING),
+    "zero-coupling-K6": lambda: reconstruct(p_space_series(ZERO_COUPLING, 6)),
+}
+
+
+@pytest.mark.parametrize("case", RING_CASES)
+def test_discriminant_equals_ring_expansion_bit_for_bit(case):
+    # the arrays repeat the ring's operations in its order, so every
+    # coefficient, the sign of each zero included, is the ring's
+    poly = RING_CASES[case]()
+    assert bits(discriminant(poly)) == bits(bezout_discriminant(poly))
+
+
+def test_overflowing_discriminant_names_the_ring_s_first_non_finite():
+    model = MatrixModel.from_dict(OVERFLOW_DISC)
+    poly = characteristic_polynomial(model)
+    with pytest.raises(InvariantViolation) as ring:
+        bezout_discriminant(poly)
+    assert str(ring.value) == "non-finite coefficient nan"
+    with pytest.raises(InvariantViolation, match=f"^{ring.value}$"):
+        discriminant(poly)
+
+
+def test_one_discriminant_leaves_no_cyclic_garbage():
+    poly = characteristic_polynomial(seeded_model(5))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        discriminant(poly)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
 def test_cached_determinant_equals_plain_expansion(monkeypatch, dim):
-    # caching minors must not change a single operation or its order
+    # computing each minor once, one size at a time, must not change a
+    # single operation or its order
     module = importlib.import_module("secres.discriminant")
-    cached = module._det
-    matrices = []
+    expand = module._expand
+    calls = []
 
-    def recording(matrix):
-        matrices.append(matrix)
-        return cached(matrix)
+    def recording(entries, lengths):
+        calls.append((entries, lengths, expand(entries, lengths)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(module, "_det", recording)
-    rng = np.random.default_rng(100 + dim)
-    h0, interaction = random_model_data(rng, dim)
-    model = MatrixModel(dim, h0, interaction, (1,))
-    disc = discriminant(characteristic_polynomial(model))
-    (bezout,) = matrices
-    assert len(bezout) == dim
+    monkeypatch.setattr(module, "_expand", recording)
+    poly = characteristic_polynomial(seeded_model(dim))
+    disc = discriminant(poly)
+    ((entries, lengths, det),) = calls
+    assert entries.shape[:2] == lengths.shape == (dim, dim)
+    # past its length an entry holds -0.0, the identity of addition
+    tails = np.arange(entries.shape[-1]) >= lengths[..., None]
+    assert np.all((entries[tails] == 0.0) & np.signbit(entries[tails]))
+    bezout = [[Polynomial(tuple(entries[i, j, :lengths[i, j]].tolist()))
+               for j in range(dim)] for i in range(dim)]
+    assert [[bits(e) for e in row] for row in bezout] == [
+        [bits(e) for e in row] for row in bezout_matrix(poly)]
     plain = cofactor_det(bezout)
-    assert bits(cached(bezout)) == bits(plain)
+    assert det.tobytes() == bits(plain)
     assert bits(disc) == bits(plain.trimmed())
 
 
@@ -154,8 +218,8 @@ def test_discriminant_degree_cap(monkeypatch, capsys, zheng3, excess):
     cap = 3 * 2 * max(p.trimmed().degree for p in cp.coefficients)
     degree = cap + excess
     module = importlib.import_module("secres.discriminant")
-    det = Polynomial((0.0,) * degree + (1.0,))
-    monkeypatch.setattr(module, "_det", lambda matrix: det)
+    det = np.array((0.0,) * degree + (1.0,))
+    monkeypatch.setattr(module, "_expand", lambda entries, lengths: det)
     if not excess:
         assert discriminant(cp).degree == cap
         return

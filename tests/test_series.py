@@ -54,7 +54,6 @@ def test_mul_order_sets_length():
     rng = np.random.default_rng(17)
     a, b = random_series(rng, 5), random_series(rng, 5)
     assert len((a + b).coefficients) == 6
-    assert len(a.scale(2.5).coefficients) == 6
     assert len(a.mul(b).coefficients) == 11
     for k in (0, 3, 5, 8):
         assert len(a.mul(b, order=k).coefficients) == k + 1
