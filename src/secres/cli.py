@@ -3,7 +3,9 @@
 The library returns plain roots and the records are built here: an EP
 record's modulus and residual come from its root and discriminant at output
 time, its multiplicity is the size of its symmetry group, and its source is
-"exact" or "order-K".  A sweep's exact column is one batched eigvalsh of
+"exact" or "order-K"; table1 prints the moduli alone.  The series and the
+secular polynomial are built once, at a command's top order, and each
+order's is a prefix.  A sweep's exact column is one batched eigvalsh of
 H(lambda) and each order's column one batch root solve, returned as sorted
 rows.  Every column, lambda included, goes through one formatter as one
 block of cells: a value shows its imaginary part when it exceeds
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -39,11 +42,11 @@ import numpy as np
 
 from .charpoly import characteristic_polynomial, exact_eigenvalues_at
 from .discriminant import discriminant, exceptional_points, nearest_exceptional_point
-from .errors import SecresError
+from .errors import InvariantViolation, SecresError
 from .model import MatrixModel, _number, load_model
 from .rspt import p_space_series
 from .secular import eigenvalues_at, reconstruct
-from .series import Polynomial
+from .series import MonicPolynomial, Polynomial
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -135,6 +138,19 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     return orders
 
 
+def _secular_polynomials(model: MatrixModel, orders: tuple[int, ...]):
+    """Each order's secular polynomial: its p_j are the first k+1 coefficients
+    of the top order's, bit for bit, as truncation sits inside every product.
+    A negative order, or an overflow at the top, builds each order alone as
+    it is asked for, so every error comes where one order at a time put it."""
+    if orders and min(orders) >= 0:
+        with suppress(InvariantViolation):
+            top = reconstruct(p_space_series(model, max(orders))).coefficients
+            return [MonicPolynomial(tuple(Polynomial(p.coefficients[:k + 1])
+                                          for p in top)) for k in orders]
+    return (reconstruct(p_space_series(model, k)) for k in orders)
+
+
 def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
     """CSV of exact and resummed eigenvalues on the coupling grid.
 
@@ -142,7 +158,7 @@ def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
     once and formatted as one block of cells.  A failure at one coupling
     marks its row instead of aborting the sweep: that column's cells and the
     later ones read nan and the message goes in the error column."""
-    polys = [reconstruct(p_space_series(model, k)) for k in spec.orders]
+    polys = list(_secular_polynomials(model, spec.orders))
     header = ["lambda"]
     header += [f"exact_{i}" for i in range(1, model.dimension + 1)]
     for k in spec.orders:
@@ -166,25 +182,19 @@ def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
     return [",".join(header)] + [",".join(row) for row in zip(*parts)]
 
 
-def _point_dict(z: complex, source: str, disc: Polynomial) -> dict:
-    return {
-        "re": _json_float(z.real),
-        "im": _json_float(z.imag),
-        "modulus": _json_float(abs(z)),
-        "source": source,
-        "residual": _json_float(abs(disc.evaluate(z))),
-    }
-
-
 def _ep_block(disc: Polynomial, source: str) -> dict:
     groups = exceptional_points(disc)
+    points = [{"re": _json_float(z.real), "im": _json_float(z.imag),
+               "modulus": _json_float(abs(z)), "source": source,
+               "residual": _json_float(abs(disc.evaluate(z)))}
+              for group in groups for z in group]
     nearest = nearest_exceptional_point(groups)
-    block = _point_dict(nearest, source, disc)
-    block["multiplicity"] = len(groups[0])
+    # groups[0] leads the points, and nearest is one of its members
+    block = points[[z is nearest for z in groups[0]].index(True)]
     return {
-        "nearest": block,
-        "nearest_modulus": _json_float(abs(nearest)),
-        "points": [_point_dict(z, source, disc) for group in groups for z in group],
+        "nearest": {**block, "multiplicity": len(groups[0])},
+        "nearest_modulus": block["modulus"],
+        "points": points,
     }
 
 
@@ -198,8 +208,8 @@ def ep_report(model: MatrixModel, orders: tuple[int, ...], include_exact: bool) 
     if include_exact:
         disc = discriminant(characteristic_polynomial(model))
         report["exact"] = _ep_block(disc, "exact")
-    for k in orders:
-        disc = discriminant(reconstruct(p_space_series(model, k)))
+    for k, poly in zip(orders, _secular_polynomials(model, orders)):
+        disc = discriminant(poly)
         report["orders"].append({"order": k, **_ep_block(disc, f"order-{k}")})
     return report
 
@@ -251,12 +261,14 @@ def cmd_ep(model: MatrixModel, args: argparse.Namespace) -> str:
 
 
 def cmd_table1(model: MatrixModel, args: argparse.Namespace) -> str:
-    report = ep_report(model, TABLE1_ORDERS, include_exact=True)
-    lines = ["K      nearest-EP modulus"]
-    for entry in report["orders"]:
-        lines.append(f"{entry['order']:<6d} {entry['nearest_modulus']}")
-    lines.append(f"exact  {report['exact']['nearest_modulus']}")
-    return "\n".join(lines)
+    def modulus(poly: MonicPolynomial) -> str:  # ep's nearest_modulus
+        nearest = nearest_exceptional_point(exceptional_points(discriminant(poly)))
+        return _json_float(abs(nearest))
+
+    exact = modulus(characteristic_polynomial(model))  # the exact row comes first
+    polys = _secular_polynomials(model, TABLE1_ORDERS)
+    rows = [f"{k:<6d} {modulus(poly)}" for k, poly in zip(TABLE1_ORDERS, polys)]
+    return "\n".join(["K      nearest-EP modulus", *rows, f"exact  {exact}"])
 
 
 @cache

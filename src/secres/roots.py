@@ -75,7 +75,7 @@ def _horner(coeffs: np.ndarray, shape: tuple[int, int]):
     flat = planes.reshape(-1)
     windows = [flat[k * size : (k + 2) * size] for k in range(len(planes) - 1)]
     steps = list(zip(windows, windows[1:]))
-    descending = np.broadcast_to(coeffs[::-1, None, :], planes[2:].shape)
+    descending = coeffs[::-1, None, :]  # broadcast over the points by each fill
     value, slope = planes[-1], planes[-2]
     zz = np.empty((2, *shape), dtype=complex)
     pair = zz.reshape(-1)
@@ -114,20 +114,27 @@ def _starts(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     span = np.arange(1.0, degree + 1) - np.arange(degree + 1.0)[:, None]  # [a, b - 1]
     log_modulus = np.log(np.abs(coeffs))
     slope = (log_modulus[None, 1:] - log_modulus[:, None]) / span[:, :, None]
-    slope[span <= 0] = -np.inf  # b <= a, no edge
+    outside = span <= 0
+    slope[outside] = -np.inf  # b <= a, no edge
     # suffix maxima by doubling: [a, k] becomes the steepest slope to a b > k
     shift = 1
     while shift < degree:
         np.fmax(slope[:, :-shift], slope[:, shift:], out=slope[:, :-shift])
         shift *= 2
-    slope[span <= 0] = np.inf  # a > k
+    slope[outside] = np.inf  # a > k
     hull = np.fmin.reduce(slope, axis=0)
     radius = np.exp(-hull)
     first = (hull[:, None] > hull).sum(axis=0)  # a: steeper slots come first
     points = (hull[:, None] == hull).sum(axis=0)  # d = b - a
-    roots = radius * np.exp(2j * np.pi * (np.arange(degree)[:, None] - first) / points)
+    offset, index = np.arange(degree)[:, None] - first, ...  # k - a; ... is every slot
+    # more slots than (k - a, a, d) triples, as in a batch: one exp per triple
+    if offset.size > 2 * degree * (degree + 1) ** 2:
+        table = (2 * degree, degree + 1, degree + 1)  # k - a + degree, a, d
+        index = np.ravel_multi_index((offset + degree, first, points), table)
+        offset, first, points = np.indices(table).reshape(3, -1) - [[degree], [0], [0]]
+    roots = radius * np.exp(2j * np.pi * offset / points)[index]
     roots *= np.exp(2j * np.pi * (
-        _ANGLE_OFFSET * (1 + first / degree**2) + (first + points) / degree))
+        _ANGLE_OFFSET * (1 + first / degree**2) + (first + points) / degree))[index]
     return roots, np.min(np.where(radius > 0, radius, np.inf), axis=0)
 
 
@@ -264,13 +271,13 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 
 def _polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Three Newton steps per root, then each column's largest |p/p'|."""
+    """Three Newton steps per root in place, then each column's largest |p/p'|."""
     horner = _horner(coeffs, z.shape)
     moving = np.ones(z.shape, dtype=bool)
     for _ in range(3):
         p, dp = horner(z)
         moving &= (dp != 0) & (p != 0)
-        z = np.where(moving, z - p / dp, z)
+        np.subtract(z, p / dp, out=z, where=moving)
     p, dp = horner(z)
     scale = np.where(dp != 0, np.abs(dp), np.abs(coeffs[-1:]))
     residual = np.where(scale != 0, np.abs(p) / scale, np.abs(p))

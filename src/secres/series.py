@@ -70,7 +70,7 @@ class Polynomial:
         the degree.  The constant coefficient always stays, so zero is (0.0,).
         """
         coeffs = list(self.coefficients) or [0.0]
-        cutoff = TRAILING_ZERO_TOL * max(abs(c) for c in coeffs)
+        cutoff = TRAILING_ZERO_TOL * max(map(abs, coeffs))
         while len(coeffs) > 1 and abs(coeffs[-1]) <= cutoff:
             coeffs.pop()
         return Polynomial(tuple(coeffs))

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -19,6 +20,19 @@ def roots_at(solve, source, lam):
     roots, failures = solve(source, [lam])
     assert not failures, failures[0]
     return roots[0].tolist()
+
+
+def benchmark_models():
+    """The seeded models of every benchmark workload, seeds 1-3."""
+    path = TESTS_DIR.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks the module up by name while it is defined
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return [MatrixModel.from_dict(data)
+            for workload in workloads.WORKLOADS for seed in (1, 2, 3)
+            for data in workloads.seeded_models(workload, seed)]
 
 
 def pytest_collection_modifyitems(items):

@@ -23,7 +23,7 @@ import secres.errors
 from secres import cli
 from secres.cli import SweepSpec, main
 
-from conftest import ZHENG3_PATH
+from conftest import ZHENG3_PATH, benchmark_models
 from oracles import hamiltonian_at, jacobi_eigenvalues, model_to_dict, random_model_data
 
 MODEL = str(ZHENG3_PATH)
@@ -666,6 +666,93 @@ def test_table1_output(capsys):
     assert set(values) == {"2", "4", "6", "8", "10", "exact"}
     assert values["2"] == pytest.approx(0.05147186257, abs=1e-9)
     assert values["exact"] == pytest.approx(0.05139217757, abs=1e-9)
+
+
+def model_files(tmp_path):
+    """zheng3 and every benchmark_models() model, as model file paths."""
+    paths = [MODEL]
+    for index, model in enumerate(benchmark_models()):
+        path = tmp_path / f"bench{index}.json"
+        path.write_text(json.dumps(model_to_dict(model)))
+        paths.append(str(path))
+    return paths
+
+
+def test_table1_rows_are_ep_nearest_moduli(tmp_path, capsys):
+    # table1 builds no EP records, yet prints ep's strings, exact row included
+    for path in model_files(tmp_path):
+        code, out, err = run(capsys, "table1", "--model", path)
+        want_code, report, want_err = run(
+            capsys, "ep", "--model", path, "--orders", "2,4,6,8,10", "--exact")
+        assert (code, err) == (want_code, want_err), path
+        if code == 0:
+            report = json.loads(report)
+            want = [(str(entry["order"]), entry["nearest_modulus"])
+                    for entry in report["orders"]]
+            want.append(("exact", report["exact"]["nearest_modulus"]))
+            assert [tuple(line.split()) for line in out.splitlines()[1:]] == want, path
+
+
+def test_multi_order_ep_blocks_equal_one_order_runs(tmp_path, capsys):
+    # the orders are prefixes of one top-order series, bit for bit, so each
+    # block is the one-order report's, and a failing order fails the report
+    # with the error of the first order to fail alone
+    orders = (10, 20, 30, 40)
+    for path in model_files(tmp_path):
+        code, out, err = run(capsys, "ep", "--model", path,
+                             "--orders", ",".join(map(str, orders)))
+        alone = [run(capsys, "ep", "--model", path, "--orders", str(k)) for k in orders]
+        failed = [result for result in alone if result[0] != 0]
+        if failed:
+            assert (code, out, err) == (failed[0][0], "", failed[0][2]), path
+        else:
+            assert (code, err) == (0, ""), path
+            assert [json.dumps(block) for block in json.loads(out)["orders"]] == [
+                json.dumps(json.loads(one)["orders"][0]) for _, one, _ in alone], path
+
+
+def test_multi_order_sweep_columns_equal_one_order_runs(tmp_path, capsys):
+    orders = (2, 4, 6, 8, 10)
+    for path in model_files(tmp_path):
+        code, out, err = run(capsys, "sweep", "--model", path, "--steps", "41",
+                             "--orders", ",".join(map(str, orders)))
+        assert (code, err) == (0, ""), path
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        for k in orders:
+            code, one, err = run(capsys, "sweep", "--model", path, "--steps", "41",
+                                 "--orders", str(k))
+            assert (code, err) == (0, ""), path
+            # lambda, the exact columns, this order's and the error column
+            kept = [i for i, name in enumerate(header)
+                    if not name.startswith("eff_") or name.startswith(f"eff_K{k}_")]
+            want = [",".join(row[i] for i in kept) for row in [header] + rows]
+            assert one.splitlines() == want, (path, k)
+
+
+# a near-degenerate pair: the order-2 series is finite, the order-40 one not
+OVERFLOW_AT_TOP = {
+    "dimension": 3,
+    "h0_diagonal": [0.0, 1e-10, 1.0],
+    "interaction": [[1, 2, 0.5], [1, 3, 0.3], [2, 3, 0.4]],
+    "p_space": [1, 2],
+}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("ep", "--orders", "2"), 0, ""),
+    (("ep", "--orders", "2,40"), 3, "InvariantViolation: non-finite coefficient -inf"),
+    (("sweep", "--orders", "2,40"), 3, "InvariantViolation: non-finite coefficient -inf"),
+    (("table1",), 0, ""),
+    # the order-0 discriminant is constant, and order 0 comes first
+    (("ep", "--orders", "0,40"), 2, "DegreeTooSmall: no exceptional point exists: "
+                                    "a discriminant of lambda degree 0 has no root"),
+    (("ep", "--orders", "40,0"), 3, "InvariantViolation: non-finite coefficient -inf"),
+])
+def test_an_overflow_at_the_top_order_keeps_each_error(tmp_path, capsys, argv, code, message):
+    path = tmp_path / "overflow_at_top.json"
+    path.write_text(json.dumps(OVERFLOW_AT_TOP))
+    got_code, _, err = run(capsys, argv[0], "--model", str(path), *argv[1:])
+    assert (got_code, err) == (code, message and f"error: {message}\n")
 
 
 def table1_values(capsys, *argv):

@@ -1,8 +1,5 @@
 import argparse
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +16,7 @@ from secres import (
 )
 from secres.cli import cmd_reconstruct
 
-from conftest import roots_at
+from conftest import benchmark_models, roots_at
 from oracles import poly_mul, truncate
 
 
@@ -88,19 +85,6 @@ def test_reconstruct_is_symmetric_in_inputs(zheng3):
     forward = reconstruct(states)
     backward = reconstruct(states[::-1])
     assert forward == backward
-
-
-def benchmark_models():
-    """The seeded models of every benchmark workload, seeds 1-3."""
-    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclass looks the module up by name while it is defined
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
-    return [MatrixModel.from_dict(data)
-            for workload in workloads.WORKLOADS for seed in (1, 2, 3)
-            for data in workloads.seeded_models(workload, seed)]
 
 
 def test_reconstruct_truncates_inside_every_product(zheng3):
