@@ -7,8 +7,9 @@ time, its multiplicity is the size of its symmetry group, and its source is
 secular polynomial are built once, at a command's top order, and each
 order's is a prefix.  A sweep's exact column is one batched eigvalsh of
 H(lambda) and each order's column one batch root solve, returned as sorted
-rows.  Every column, lambda included, goes through one formatter as one
-block of cells: a value shows its imaginary part when it exceeds
+rows; ep and table1 solve all their discriminants in one root solve.
+Every column, lambda included, goes through one formatter as one block of
+cells: a value shows its imaginary part when it exceeds
 IMAG_REPORT_THRESHOLD times the largest |z| in its row of the block,
 whatever the energy unit, so a real column never shows one.
 
@@ -182,8 +183,25 @@ def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
     return [",".join(header)] + [",".join(row) for row in zip(*parts)]
 
 
-def _ep_block(disc: Polynomial, source: str) -> dict:
-    groups = exceptional_points(disc)
+def _exceptional_points(model: MatrixModel, orders: tuple[int, ...], include_exact: bool):
+    """The exact discriminant, if asked for, then each order's, and the
+    exceptional points of all from one exceptional_points call.  If a build
+    raises, the ones built before it are solved first, and the first of
+    them to fail raises instead, as if each were solved before the next was
+    built.  DegreeTooSmall, a ValueError, means no two eigenvalues meet."""
+    discs: list[Polynomial] = []
+    try:
+        if include_exact:
+            discs.append(discriminant(characteristic_polynomial(model)))
+        for poly in _secular_polynomials(model, orders):
+            discs.append(discriminant(poly))
+    except Exception:
+        exceptional_points(discs)
+        raise
+    return discs, exceptional_points(discs)
+
+
+def _ep_block(disc: Polynomial, groups: list[list[complex]], source: str) -> dict:
     points = [{"re": _json_float(z.real), "im": _json_float(z.imag),
                "modulus": _json_float(abs(z)), "source": source,
                "residual": _json_float(abs(disc.evaluate(z)))}
@@ -199,18 +217,14 @@ def _ep_block(disc: Polynomial, source: str) -> dict:
 
 
 def ep_report(model: MatrixModel, orders: tuple[int, ...], include_exact: bool) -> dict:
-    """Exceptional points per reconstruction order, with the exact reference.
-
-    Where no two eigenvalues can meet (fewer than 2 of them, or a
-    discriminant constant in lambda), the discriminant or
-    exceptional_points raises DegreeTooSmall, a ValueError."""
-    report: dict = {"orders": []}
+    """Exceptional points per reconstruction order, with the exact reference."""
+    discs, groups = _exceptional_points(model, orders, include_exact)
+    sources = ["exact"] * include_exact + [f"order-{k}" for k in orders]
+    blocks = [_ep_block(*block) for block in zip(discs, groups, sources)]
+    report: dict = {"orders": [{"order": k, **block}
+                               for k, block in zip(orders, blocks[include_exact:])]}
     if include_exact:
-        disc = discriminant(characteristic_polynomial(model))
-        report["exact"] = _ep_block(disc, "exact")
-    for k, poly in zip(orders, _secular_polynomials(model, orders)):
-        disc = discriminant(poly)
-        report["orders"].append({"order": k, **_ep_block(disc, f"order-{k}")})
+        report["exact"] = blocks[0]
     return report
 
 
@@ -261,13 +275,10 @@ def cmd_ep(model: MatrixModel, args: argparse.Namespace) -> str:
 
 
 def cmd_table1(model: MatrixModel, args: argparse.Namespace) -> str:
-    def modulus(poly: MonicPolynomial) -> str:  # ep's nearest_modulus
-        nearest = nearest_exceptional_point(exceptional_points(discriminant(poly)))
-        return _json_float(abs(nearest))
-
-    exact = modulus(characteristic_polynomial(model))  # the exact row comes first
-    polys = _secular_polynomials(model, TABLE1_ORDERS)
-    rows = [f"{k:<6d} {modulus(poly)}" for k, poly in zip(TABLE1_ORDERS, polys)]
+    _, groups = _exceptional_points(model, TABLE1_ORDERS, True)
+    # ep's nearest_modulus of each discriminant, the exact one first
+    exact, *moduli = [_json_float(abs(nearest_exceptional_point(g))) for g in groups]
+    rows = [f"{k:<6d} {modulus}" for k, modulus in zip(TABLE1_ORDERS, moduli)]
     return "\n".join(["K      nearest-EP modulus", *rows, f"exact  {exact}"])
 
 

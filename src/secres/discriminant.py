@@ -155,45 +155,56 @@ def discriminant(poly: MonicPolynomial) -> Polynomial:
     return disc
 
 
-def exceptional_points(disc: Polynomial) -> list[list[complex]]:
-    """All coalescence couplings from a discriminant polynomial.
+def exceptional_points(discs: Sequence[Polynomial]) -> list[list[list[complex]]]:
+    """All coalescence couplings of each discriminant polynomial.
 
-    Roots come from all_roots, whose final Newton steps are the only
-    refinement.  They are returned as groups of symmetry partners sharing a
-    modulus (within MODULUS_TIE_TOL), groups in ascending modulus and the
-    members of each group in ascending principal argument.  A member within
-    that tolerance of an image of the group's nearest_exceptional_point
-    pick z is replaced by it, so partners share one modulus bit for bit:
-    the coefficients are real, so z-bar is an image, and so are -z and
-    -z-bar when every odd coefficient is 0.
+    One all_roots call, whose final Newton steps are the only refinement,
+    solves them all; the first, in order, that is constant or did not
+    converge raises DegreeTooSmall or RootFindingFailure.  The roots of
+    each come back as groups of symmetry partners sharing a modulus (within
+    MODULUS_TIE_TOL), groups in ascending modulus and the members of each
+    group in ascending principal argument.  A member within that tolerance
+    of an image of the group's nearest_exceptional_point pick z is replaced
+    by it, so partners share one modulus bit for bit: the coefficients are
+    real, so z-bar is an image, and so are -z and -z-bar when every odd
+    coefficient is 0.
     """
-    if disc.degree < 1:
-        raise DegreeTooSmall(f"no exceptional point exists: a discriminant of "
-                             f"lambda degree {disc.degree} has no root")
-    result = all_roots(disc.coefficients)
-    if not result.converged:
-        raise RootFindingFailure(
-            failed_solve("discriminant root iteration", "", result.max_residual))
-    groups: list[list[complex]] = []
-    for z in sorted(result.roots[:, 0].tolist(),
-                    key=lambda z: (abs(z), cmath.phase(z))):
-        if groups and abs(abs(z) - abs(groups[-1][0])) <= MODULUS_TIE_TOL * max(
-            1.0, abs(groups[-1][0])
-        ):
-            groups[-1].append(z)
-        else:
-            groups.append([z])
-    even = not any(disc.coefficients[1::2])
-    for group in groups:
-        group.sort(key=cmath.phase)
-        z = nearest_exceptional_point([group])
-        images = (z, z.conjugate()) + ((-z, -z.conjugate()) if even else ())
-        for i, member in enumerate(group):
-            image = min(images, key=lambda w: abs(w - member))
-            if abs(image - member) <= MODULUS_TIE_TOL * max(1.0, abs(z)):
-                group[i] = image
-        group.sort(key=cmath.phase)
-    return groups
+    solved = [disc.coefficients for disc in discs if disc.degree >= 1]
+    if solved:
+        columns = np.zeros((max(map(len, solved)), len(solved)))
+        for m, coefficients in enumerate(solved):
+            columns[:len(coefficients), m] = coefficients
+        result = all_roots(columns)
+    reports: list[list[list[complex]]] = []
+    for disc in discs:
+        if disc.degree < 1:
+            raise DegreeTooSmall(f"no exceptional point exists: a discriminant of "
+                                 f"lambda degree {disc.degree} has no root")
+        m = len(reports)  # the column of disc: each disc before it has one
+        if not result.column_converged[m]:
+            raise RootFindingFailure(failed_solve(
+                "discriminant root iteration", "", result.column_residual[m].item()))
+        roots = result.roots[:np.flatnonzero(disc.coefficients)[-1], m].tolist()
+        groups: list[list[complex]] = []
+        for z in sorted(roots, key=lambda z: (abs(z), cmath.phase(z))):
+            if groups and abs(abs(z) - abs(groups[-1][0])) <= MODULUS_TIE_TOL * max(
+                1.0, abs(groups[-1][0])
+            ):
+                groups[-1].append(z)
+            else:
+                groups.append([z])
+        even = not any(disc.coefficients[1::2])
+        for group in groups:
+            group.sort(key=cmath.phase)
+            z = nearest_exceptional_point([group])
+            images = (z, z.conjugate()) + ((-z, -z.conjugate()) if even else ())
+            for i, member in enumerate(group):
+                image = min(images, key=lambda w: abs(w - member))
+                if abs(image - member) <= MODULUS_TIE_TOL * max(1.0, abs(z)):
+                    group[i] = image
+            group.sort(key=cmath.phase)
+        reports.append(groups)
+    return reports
 
 
 def nearest_exceptional_point(groups: Sequence[list[complex]]) -> complex:

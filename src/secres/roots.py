@@ -3,18 +3,19 @@
 Aberth-Ehrlich iteration on every root at once avoids deflation error and
 needs no external eigensolver.  Each step updates all roots from the
 previous iterate (Aberth 1973; Bini 1996), so one numpy pass serves every
-root of a whole batch of polynomials of one degree, stored as the columns
-of a coefficient array.  The batch stays on the last, contiguous axis, from
-(degree+1, M) coefficients to (degree, M) roots: numpy's inner loops run
-fastest along the long axis, and a sweep solves 1001 polynomials of two or
-three roots at once.  Starting points sit on Bini's circles, one per edge
-of the Newton polygon, computed afresh by each call, so each polynomial is
-solved at its own scale whatever the units or the span of its coefficients
-(Bini 1996).  Each root stops once its own step is small relative to that
-scale; a stopped root no longer moves but still repels the others, and a
-polynomial is done when all its roots have stopped (as in MPSolve; Bini and
-Fiorentino 2000).  Multiple roots come back as near-coincident simple
-roots.  Clustering them and wording a failed solve are the caller's job.
+root of a whole batch of polynomials, each of its own degree, stored as the
+columns of a coefficient array.  The batch stays on the last, contiguous
+axis, from (top+1, M) coefficients to (top, M) roots: numpy's inner loops
+run fastest along the long axis, and a sweep solves 1001 polynomials of two
+or three roots at once.  Starting points sit on Bini's circles, one per
+edge of the Newton polygon, computed afresh by each call, so each
+polynomial is solved at its own scale whatever the units or the span of
+its coefficients (Bini 1996).  Each root stops once its own step is small
+relative to that scale; a stopped root no longer moves but still repels
+the others, and a polynomial is done when all its roots have stopped (as in
+MPSolve; Bini and Fiorentino 2000).  Multiple roots come back as
+near-coincident simple roots.  Clustering them and wording a failed solve
+are the caller's job.
 
 p and p' come from Horner's rule on a stack of planes [p', p, c_n, ..., c_0],
 each shaped like the roots.  A window of two planes slides down the stack:
@@ -22,9 +23,10 @@ one multiply by [z, z] and one add into the next window give p'z + p and
 pz + c_k together, so each coefficient costs two numpy calls, not four.
 These are the operations of the textbook loop, in its order and from the
 same two zero planes, so p and p' are bit-identical to that loop run over
-two or more points.  Every shape, a single point included, goes through
-numpy's vector loop, so a polynomial's roots are bit-identical whether it
-is solved alone or as a column of a batch, at every degree and size.
+two or more points, and zero coefficients above a column's degree leave
+both at +0.0.  Every shape, a single point included, goes through numpy's
+vector loop, so a polynomial's roots are bit-identical whether it is solved
+alone or as a column of a batch, at every degree and size.
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ _ANGLE_OFFSET = 0.38196601125010515
 class RootSet:
     """Roots with multiplicity plus a residual-based quality estimate.
 
-    roots is (degree, M): column m holds the roots of polynomial m, and M is
-    1 for one polynomial.  max_residual is the largest Newton-correction
-    magnitude |p(z)/p'(z)| over the returned roots, which estimates the
-    distance to the true root, and converged holds when every column
-    converged.  column_converged and column_residual give each column's
-    flag and largest residual, as arrays of length M.  iterations is
-    (degree, M): the Aberth iteration at which each root stopped, or
-    MAX_ITERATIONS if it was still moving there.
+    roots is (top, M): column m holds the d_m roots of polynomial m, NaN
+    below them up to the largest degree, and M is 1 for one polynomial.
+    max_residual is the largest Newton-correction magnitude |p(z)/p'(z)|
+    over the returned roots, which estimates the distance to the true root,
+    and converged holds when every column converged.  column_converged and
+    column_residual give each column's flag and largest residual, as arrays
+    of length M.  iterations is (top, M): the Aberth iteration at which
+    each root stopped, or MAX_ITERATIONS if it was still moving there, and
+    0 in the NaN rows.
     """
 
     roots: np.ndarray
@@ -138,40 +141,74 @@ def _starts(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return roots, np.min(np.where(radius > 0, radius, np.inf), axis=0)
 
 
-def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _layout(degrees: np.ndarray, rows: np.ndarray):
+    """(d, s, e, n) of each run s:e of one degree d in the ascending
+    degrees, n its working rows below d, and the mask of working slots at
+    or above their column's degree, or None where there are none."""
+    bounds = [0, *(np.flatnonzero(degrees[1:] != degrees[:-1]) + 1).tolist(), len(degrees)]
+    firsts = degrees[bounds[:-1]]
+    groups = list(zip(firsts.tolist(), bounds, bounds[1:], rows.searchsorted(firsts).tolist()))
+    return groups, (rows[:, None] >= degrees if rows[-1] >= degrees[0] else None)
+
+
+def _repulsion(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_j 1/(w_i - z_j) over all roots z (d, M), skipping z_j = w_i."""
+    diff = w[:, None, :] - z[None, :, :]  # [i, j, m] = w_i - z_j
+    # in place, the largest array; 0 where w_i and z_j coincide
+    inverse = np.divide(1.0, diff, out=diff, where=diff != 0)
+    # The sum over j must add a column's terms in the order numpy uses for
+    # a lone polynomial, whose j axis is contiguous.  numpy sums a
+    # contiguous complex axis pairwise (left to right below 4 terms) and a
+    # strided one left to right, so j is summed where it lies below degree
+    # 4 or when M is 1, and is copied to the last axis otherwise.
+    if z.shape[0] < 4 or z.shape[1] == 1:
+        return np.add.reduce(inverse, 1)
+    return np.add.reduce(np.ascontiguousarray(inverse.transpose(0, 2, 1)), 2)
+
+
+def _aberth(coeffs: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, ...]:
     """Iterate each root until its step is below DEFAULT_TOL*(r+|z|), then
     freeze it; a column stops once all its roots are frozen, when one is
     non-finite, or after MAX_ITERATIONS.
 
-    Columns are polynomials: coeffs is (degree+1, M) and the roots
-    (degree, M).  r is the column's smallest nonzero start radius, so the
-    rule does not depend on units.  A frozen root leaves the Horner and
-    step work but still repels the moving roots of its column.  The work
-    runs over the columns that have not stopped and the rows (root
-    indices) that still move in one of them.  A root's steps and freeze
-    depend only on its own column, and the repulsion sum adds a column's
-    terms in one order whatever M is, so a column's roots do not depend on
+    Columns are polynomials of ascending degree d_m >= 1: coeffs is
+    (top+1, M) and the roots (top, M), whose rows d_m and up in column m,
+    its padding, are held at 0 and left out of the tests of which roots
+    move.  r is the column's smallest nonzero start radius, so the rule
+    does not depend on units.  A frozen root leaves the Horner and step
+    work but still repels the moving roots of its column.  The work runs
+    over the columns that have not stopped and the rows (root indices) that
+    still move in one of them.  A root's steps and freeze depend only on its
+    own column, and each degree group sums its repulsion over its own
+    degree in one order whatever M is, so a column's roots do not depend on
     the other columns.  Returns the roots, the iteration at which each
     stopped, and each column's converged and non-finite flags.
 
     The common step, in which every working root moves, makes about 20
-    numpy calls beside Horner's: the step, the hold of roots with p = 0 and
-    one test that every root moved, which also shows every iterate finite.
-    The flat-denominator fallback, the nudge off a critical point and the
-    bookkeeping of stopped columns and rows run only in a step in which
-    some root stopped or went non-finite; a zero denominator or p' = 0 at a
-    moving root always makes its trial iterate non-finite.
+    numpy calls beside Horner's and the repulsion's: the step, the hold of
+    roots with p = 0 and one test that every root moved, which also shows
+    every iterate finite.  The flat-denominator fallback, the nudge off a
+    critical point and the bookkeeping of stopped columns and rows run only
+    in a step in which some root stopped or went non-finite; a zero
+    denominator or p' = 0 at a moving root always makes its trial iterate
+    non-finite.
     """
-    degree, columns = coeffs.shape[0] - 1, coeffs.shape[1]
-    roots, scale = _starts(coeffs)
+    top, columns = coeffs.shape[0] - 1, coeffs.shape[1]
+    rows = np.arange(top)
+    # a batch of one degree keeps its one group, with no padding slots
+    mixed = degrees[0] != degrees[-1]
+    groups, pad = _layout(degrees, rows)
+    roots, scale = np.zeros((top, columns), dtype=complex), np.empty(columns)
+    for d, s, e, _ in groups:
+        roots[:d, s:e], scale[s:e] = _starts(np.ascontiguousarray(coeffs[:d + 1, s:e]))
     iterations = np.empty(roots.shape, dtype=int)
     converged = np.zeros(columns, dtype=bool)
     failed = np.zeros(columns, dtype=bool)
 
-    active, rows = np.arange(columns), np.arange(degree)
+    active = np.arange(columns)
     z, c, r = roots.copy(), coeffs, scale
     w = z  # the working rows of z, z itself while it has every row
-    moving = np.ones(z.shape, dtype=bool)
+    moving = np.ones(z.shape, dtype=bool) if pad is None else ~pad
     all_moving = True
     count = np.zeros(z.shape, dtype=int)
     horner = _horner(c, w.shape)
@@ -180,25 +217,18 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     for _ in range(MAX_ITERATIONS):
         p, dp = horner(w)
         newton = p / dp
-        diff = w[:, None, :] - z[None, :, :]  # [i, j, m] = w_i - z_j
-        # in place, the largest array; 0 where w_i and z_j coincide
-        inverse = np.divide(1.0, diff, out=diff, where=diff != 0)
-        # The sum over j must add a column's terms in the order numpy uses
-        # for a lone polynomial, whose j axis is contiguous.  numpy sums a
-        # contiguous complex axis pairwise (left to right below 4 terms) and
-        # a strided one left to right, so j is summed where it lies below
-        # degree 4 or when M is 1, and is copied to the last axis otherwise.
-        if degree < 4 or z.shape[1] == 1:
-            repulsion = np.add.reduce(inverse, 1)
+        if pad is None and len(groups) == 1:
+            repulsion = _repulsion(w, z[:groups[0][0]])
         else:
-            repulsion = np.add.reduce(
-                np.ascontiguousarray(inverse.transpose(0, 2, 1)), 2)
+            repulsion = np.zeros(w.shape, dtype=complex)
+            for d, s, e, n in groups:
+                repulsion[:n, s:e] = _repulsion(w[:n, s:e], z[:d, s:e])
         # keep the sum named: numpy multiplies into an unnamed temporary of
         # 256 KiB or more in place, without the fused multiply-add of its
         # vector loop, and a large batch would round unlike a lone polynomial
         denominator = 1.0 - newton * repulsion
         step = newton / denominator
-        hold = p == 0
+        hold = p == 0 if pad is None else (p == 0) | pad
         if not all_moving:
             hold |= ~moving  # frozen roots stay
         np.copyto(step, 0.0, where=hold)
@@ -208,7 +238,7 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         moving = relative >= DEFAULT_TOL  # a held root's step is 0
         # relative is NaN or 0 at a non-finite iterate, so a step in which
         # every root moves is finite and stops nothing
-        all_moving = all_of(moving, None)
+        all_moving = all_of(moving if pad is None else moving | pad, None)
         if not all_moving:
             finite = all_of(np.isfinite(trial), 0)
             if not all_of(finite):
@@ -216,10 +246,9 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
                 # made its step non-finite: step by Newton's correction
                 # instead, or nudge off the critical point
                 np.copyto(step, newton, where=denominator == 0)
-                critical = dp == 0
-                nudged = any_of(critical, None)
+                stalled = (dp == 0) & ~hold
+                nudged = any_of(stalled, None)
                 if nudged:
-                    stalled = critical & ~hold
                     scales = np.broadcast_to(r, w.shape)[stalled]
                     step[stalled] = -DEFAULT_TOL * (scales + np.abs(w[stalled]))
                 np.copyto(step, 0.0, where=hold)
@@ -230,7 +259,7 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
                 moving = relative >= DEFAULT_TOL
                 finite = all_of(np.isfinite(trial), 0)
         w = trial
-        if w.shape[0] == degree:
+        if w.shape[0] == top:
             z = w
         else:
             z[rows] = w
@@ -247,13 +276,14 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
             iterations[rows[:, None], leaving] = count.compress(stop, axis=1)
             converged[leaving] = finite[stop] & ~going[stop]
             failed[leaving] = ~finite[stop]
-            active, r = active[keep], r[keep]
+            active, r, degrees = active[keep], r[keep], degrees[keep]
             # compress: boolean indexing on the batch axis is slower
             c, z, moving, count = (
                 a.compress(keep, axis=1) for a in (c, z, moving, count))
-            w = z if w.shape[0] == degree else w.compress(keep, axis=1)
+            w = z if w.shape[0] == top else w.compress(keep, axis=1)
             if not active.size:
                 break
+            c = c[:degrees[-1] + 1]  # zero rows above every column's degree
         if w.shape[0] > 2:
             keep = any_of(moving, 1)
             if not all_of(keep):
@@ -265,62 +295,70 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
                 changed = True
         if changed:
             horner = _horner(c, w.shape)
+            if mixed:
+                groups, pad = _layout(degrees, rows)
     roots[:, active] = z
     iterations[rows[:, None], active] = count
     return roots, iterations, converged, failed
 
 
-def _polish(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Three Newton steps per root in place, then each column's largest |p/p'|."""
+def _polish(coeffs: np.ndarray, z: np.ndarray, degrees: np.ndarray) -> tuple:
+    """Three Newton steps per root in place, padding slots held, then each
+    column's largest |p/p'| over its own rows."""
     horner = _horner(coeffs, z.shape)
-    moving = np.ones(z.shape, dtype=bool)
+    pad = np.arange(len(z))[:, None] >= degrees
+    moving = ~pad
     for _ in range(3):
         p, dp = horner(z)
         moving &= (dp != 0) & (p != 0)
         np.subtract(z, p / dp, out=z, where=moving)
     p, dp = horner(z)
-    scale = np.where(dp != 0, np.abs(dp), np.abs(coeffs[-1:]))
+    scale = np.where(dp != 0, np.abs(dp), np.abs(coeffs[degrees, np.arange(len(degrees))]))
     residual = np.where(scale != 0, np.abs(p) / scale, np.abs(p))
-    return z, residual.max(axis=0)
+    return z, residual.max(axis=0, where=~pad, initial=0.0)
 
 
 def all_roots(coefficients: Sequence) -> RootSet:
     """Find all roots of sum c_k x^k (ascending coefficients).
 
     Each c_k is a number, or an array of length M for a batch of M
-    polynomials that share a degree.  Leading coefficients that are zero in
-    every column are dropped; the zero polynomial raises a ValueError, and
-    an empty batch (M = 0) returns (len(coefficients) - 1, 0) roots.  Each
-    root starts on a Newton-polygon circle of its column and iterates until
-    its step is below DEFAULT_TOL*(r+|root|), with r the column's smallest
-    nonzero start radius, or the iteration budget runs out; a column is
-    done when all its roots are, and each root then gets three Newton
-    polishing steps.  A non-converged column returns its best iterates with
-    converged=False rather than raising; one that reaches a non-finite
-    iterate stops there, with residual NaN.
+    polynomials, each of the degree of its highest nonzero coefficient and
+    solved, bit for bit, as it would be alone (see RootSet).  A zero column
+    raises a ValueError, and an empty batch (M = 0) returns
+    (len(coefficients) - 1, 0) roots.  Each root starts on a Newton-polygon
+    circle of its column and iterates until its step is below
+    DEFAULT_TOL*(r+|root|), with r the column's smallest nonzero start
+    radius, or the iteration budget runs out; a column is done when all its
+    roots are, and each root then gets three Newton polishing steps.  A
+    non-converged column returns its best iterates with converged=False
+    rather than raising; one that reaches a non-finite iterate stops there,
+    with residual NaN.
     """
     # one polynomial per column from here on, a single one included
     coeffs = np.array(coefficients, dtype=complex).reshape(len(coefficients), -1)
-    columns = coeffs.shape[1]
-    if columns:
-        nonzero = np.flatnonzero(coeffs.any(axis=1))
-        if not nonzero.size:
-            raise ValueError("cannot find roots of the zero polynomial")
-        coeffs = coeffs[: nonzero[-1] + 1]
-    degree = coeffs.shape[0] - 1
+    nonzero = coeffs != 0
+    if not nonzero.any(axis=0).all():
+        raise ValueError("cannot find roots of the zero polynomial")
+    degrees = len(coeffs) - 1 - nonzero[::-1].argmax(axis=0)
+    top = int(degrees.max()) if degrees.size else len(coeffs) - 1
+    coeffs = coeffs[: top + 1]
+    pad = np.arange(top + 1)[:, None] >= degrees + 1
+    np.copyto(coeffs, 0.0, where=pad)  # +0.0 above each degree, never -0.0
 
-    if degree == 0 or not columns:
-        roots = np.empty((degree, columns), dtype=complex)
-        iterations = np.zeros((degree, columns), dtype=int)
-        converged = np.ones(columns, dtype=bool)
-        residuals = np.zeros(columns)
-    else:
+    roots = np.full((top, len(degrees)), np.nan, dtype=complex)
+    iterations = np.zeros(roots.shape, dtype=int)
+    converged = np.ones(len(degrees), dtype=bool)
+    residuals = np.zeros(len(degrees))
+    # the columns of nonzero degree, ascending; a constant column has no roots
+    solve = np.argsort(degrees, kind="stable")[np.count_nonzero(degrees == 0):]
+    if solve.size:
+        c, d = coeffs[:, solve], degrees[solve]
         with np.errstate(all="ignore"):
-            roots, iterations, converged, failed = _aberth(coeffs)
-            residuals = np.full(columns, np.nan)
-            finite = ~failed
-            roots[:, finite], residuals[finite] = _polish(
-                coeffs[:, finite], roots[:, finite])
+            z, iterations[:, solve], converged[solve], failed = _aberth(c, d)
+            residual, finite = np.full(solve.size, np.nan), ~failed
+            z[:, finite], residual[finite] = _polish(c[:, finite], z[:, finite], d[finite])
+        roots[:, solve], residuals[solve] = z, residual
+        roots[pad[1:]] = np.nan
 
     return RootSet(
         roots=roots,

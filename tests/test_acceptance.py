@@ -77,7 +77,7 @@ def test_criterion_1_exact_characteristic_polynomial(zheng3, capsys):
 def test_criterion_2_exact_exceptional_points(zheng3, capsys):
     with criterion(2, "exact exceptional points", budget=1.0):
         disc = discriminant(characteristic_polynomial(zheng3))
-        points = [z for group in exceptional_points(disc) for z in group]
+        points = [z for group in exceptional_points([disc])[0] for z in group]
 
         imag_pair = [z for z in points if abs(z.real) < 1e-9]
         assert len(imag_pair) == 2
@@ -102,7 +102,7 @@ def test_criterion_3_table_reproduction(zheng3, capsys):
     with criterion(3, "nearest-EP moduli for K=2,4,6,8,10", budget=5.0):
         for k, expected in TABLE_PRESENT.items():
             disc = discriminant(reconstruct(p_space_series(zheng3, k)))
-            nearest = nearest_exceptional_point(exceptional_points(disc))
+            nearest = nearest_exceptional_point(exceptional_points([disc])[0])
             assert abs(abs(nearest) - expected) <= 1e-9, f"K={k}"
         assert cli_main(["table1"]) == 0
         capsys.readouterr()

@@ -540,7 +540,7 @@ def test_ep_report_matches_library(capsys, zheng3):
     assert code == 0
     report = json.loads(out)
 
-    groups = exceptional_points(discriminant(characteristic_polynomial(zheng3)))
+    groups = exceptional_points([discriminant(characteristic_polynomial(zheng3))])[0]
     nearest = nearest_exceptional_point(groups)
     assert float(report["exact"]["nearest_modulus"]) == abs(nearest)
     assert len(report["exact"]["points"]) == sum(len(g) for g in groups)
@@ -549,7 +549,7 @@ def test_ep_report_matches_library(capsys, zheng3):
     for entry in report["orders"]:
         k = entry["order"]
         disc = discriminant(reconstruct(p_space_series(zheng3, k)))
-        best = nearest_exceptional_point(exceptional_points(disc))
+        best = nearest_exceptional_point(exceptional_points([disc])[0])
         assert float(entry["nearest_modulus"]) == abs(best)
         assert float(entry["nearest"]["residual"]) == abs(disc.evaluate(best))
         assert entry["nearest"]["source"] == f"order-{k}"
@@ -709,6 +709,48 @@ def test_multi_order_ep_blocks_equal_one_order_runs(tmp_path, capsys):
             assert (code, err) == (0, ""), path
             assert [json.dumps(block) for block in json.loads(out)["orders"]] == [
                 json.dumps(json.loads(one)["orders"][0]) for _, one, _ in alone], path
+
+
+def test_multi_order_exact_ep_blocks_equal_one_order_runs(tmp_path, capsys):
+    # the exact discriminant comes first and is solved beside every order's
+    # in one root solve, yet each block is its one-discriminant report's,
+    # and a failing report fails with the error of the first to fail alone
+    orders = (10, 40)
+    for path in model_files(tmp_path):
+        code, out, err = run(capsys, "ep", "--model", path, "--exact",
+                             "--orders", ",".join(map(str, orders)))
+        alone = [run(capsys, "ep", "--model", path, "--exact")]
+        alone += [run(capsys, "ep", "--model", path, "--orders", str(k)) for k in orders]
+        failed = [result for result in alone if result[0] != 0]
+        if failed:
+            assert (code, out, err) == (failed[0][0], "", failed[0][2]), path
+        else:
+            assert (code, err) == (0, ""), path
+            report = json.loads(out)
+            assert report["exact"] == json.loads(alone[0][1])["exact"], path
+            assert [json.dumps(block) for block in report["orders"]] == [
+                json.dumps(json.loads(one)["orders"][0]) for _, one, _ in alone[1:]], path
+
+
+def test_an_earlier_failed_solve_comes_before_a_later_build_error(tmp_path, capsys):
+    # order -1 cannot be built; an order before it whose solve fails still
+    # raises first, as when each order was solved before the next was built
+    cases = 0
+    for path in model_files(tmp_path):
+        failing = run(capsys, "ep", "--model", path, "--orders", "40")
+        if "RootFindingFailure" not in failing[2]:
+            continue
+        cases += 1
+        assert run(capsys, "ep", "--model", path, "--orders", "40,-1") == failing, path
+        if run(capsys, "ep", "--model", path, "--exact")[0] == 0:
+            assert run(capsys, "ep", "--model", path, "--exact",
+                       "--orders", "40,-1") == failing, path
+        if cases == 3:
+            break
+    assert cases == 3
+    # with no earlier failure, the build error is the one raised
+    assert run(capsys, "ep", "--model", MODEL, "--exact", "--orders", "10,-1") == (
+        2, "", "error: ValueError: order must be non-negative, got -1\n")
 
 
 def test_multi_order_sweep_columns_equal_one_order_runs(tmp_path, capsys):

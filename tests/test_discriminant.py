@@ -1,6 +1,8 @@
 import cmath
 import gc
 import importlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from secres import (
     MatrixModel,
     MonicPolynomial,
     Polynomial,
+    RootFindingFailure,
     characteristic_polynomial,
     discriminant,
     eigenvalues_at,
@@ -241,13 +244,39 @@ def test_degree_too_small():
     with pytest.raises(DegreeTooSmall):
         discriminant(single)
     with pytest.raises(DegreeTooSmall):
-        exceptional_points(Polynomial((3.0,)))
+        exceptional_points([Polynomial((3.0,))])
+
+
+def test_several_discriminants_give_each_ones_groups_alone(zheng3):
+    # one root solve for all, of lambda degrees 4 to 20, bit for bit
+    discs = [discriminant(reconstruct(p_space_series(zheng3, k))) for k in (10, 2, 6)]
+    discs.append(discriminant(characteristic_polynomial(zheng3)))
+    assert len({disc.degree for disc in discs}) == 4
+    assert repr(exceptional_points(discs)) == repr(
+        [exceptional_points([disc])[0] for disc in discs])
+    assert exceptional_points([]) == []
+
+
+def test_the_first_failing_discriminant_raises(zheng3):
+    # a degree-80 discriminant that runs into MAX_ITERATIONS, a constant
+    # one and a good one: the first to fail, in order, raises its own error
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "aberth_iteration_cap.json").read_text())
+    capped = Polynomial(tuple(float.fromhex(c) for c in golden["coefficients"]))
+    residual = float.fromhex(golden["max_residual"])
+    constant, good = Polynomial((3.0,)), discriminant(characteristic_polynomial(zheng3))
+    with pytest.raises(RootFindingFailure) as failure:
+        exceptional_points([good, capped, constant])
+    assert str(failure.value) == (
+        f"discriminant root iteration did not converge (max residual {residual:.3e})")
+    with pytest.raises(DegreeTooSmall):
+        exceptional_points([good, constant, capped])
 
 
 def test_exact_exceptional_points(zheng3):
     disc = discriminant(characteristic_polynomial(zheng3))
     # sorted by modulus then phase, imaginary pair first
-    pair, quartet = exceptional_points(disc)
+    pair, quartet = exceptional_points([disc])[0]
     assert len(pair) == 2
     for z in pair:
         assert abs(z) == pytest.approx(EXACT_EP1_MODULUS, abs=1e-9)
@@ -272,7 +301,7 @@ def test_exact_exceptional_points(zheng3):
 
 def test_points_sorted_by_modulus_then_phase(zheng3):
     disc = discriminant(characteristic_polynomial(zheng3))
-    points = flat(exceptional_points(disc))
+    points = flat(exceptional_points([disc])[0])
     moduli = [abs(z) for z in points]
     assert moduli == sorted(moduli)
     for a, b in zip(points, points[1:]):
@@ -286,7 +315,7 @@ def test_symmetry_partners_share_their_modulus_bit_for_bit(zheng3, order):
     # conjugates and negatives of one point
     poly = (characteristic_polynomial(zheng3) if order is None
             else reconstruct(p_space_series(zheng3, order)))
-    groups = exceptional_points(discriminant(poly))
+    groups = exceptional_points([discriminant(poly)])[0]
     for group in groups:
         assert len({abs(z) for z in group}) == 1
         z = nearest_exceptional_point([group])
@@ -299,7 +328,7 @@ def test_residuals_small_and_modulus_consistent(zheng3):
         discriminant(reconstruct(p_space_series(zheng3, 10))),
     ):
         bound = 1e-10 * max(abs(c) for c in disc.coefficients)
-        for group in exceptional_points(disc):
+        for group in exceptional_points([disc])[0]:
             for z in group:
                 assert abs(disc.evaluate(z)) <= bound
                 # symmetry partners share one modulus
@@ -308,7 +337,7 @@ def test_residuals_small_and_modulus_consistent(zheng3):
 
 def test_conjugate_pairing(zheng3):
     disc = discriminant(characteristic_polynomial(zheng3))
-    values = flat(exceptional_points(disc))
+    values = flat(exceptional_points([disc])[0])
     for z in values:
         if abs(z.imag) > 1e-10:
             assert min(abs(z.conjugate() - w) for w in values) < 1e-10
@@ -316,7 +345,7 @@ def test_conjugate_pairing(zheng3):
 
 def test_parity_pairing(zheng3):
     disc = discriminant(characteristic_polynomial(zheng3))
-    values = flat(exceptional_points(disc))
+    values = flat(exceptional_points([disc])[0])
     for z in values:
         assert min(abs(-z - w) for w in values) < 1e-10
 
@@ -324,7 +353,7 @@ def test_parity_pairing(zheng3):
 def test_coalescence_at_reported_points(zheng3):
     cp = characteristic_polynomial(zheng3)
     disc = discriminant(cp)
-    for z in flat(exceptional_points(disc)):
+    for z in flat(exceptional_points([disc])[0]):
         roots = roots_at(eigenvalues_at, cp, z)
         gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
         assert min(gaps) <= 1e-5
@@ -338,7 +367,7 @@ def test_coalescence_at_reported_points(zheng3):
 def test_coalescence_for_reconstruction(zheng3):
     poly = reconstruct(p_space_series(zheng3, 2))
     disc = discriminant(poly)
-    nearest = nearest_exceptional_point(exceptional_points(disc))
+    nearest = nearest_exceptional_point(exceptional_points([disc])[0])
     roots = roots_at(eigenvalues_at, poly, nearest)
     assert abs(roots[0] - roots[1]) <= 1e-5
     roots_far = roots_at(eigenvalues_at, poly, 2.0 * nearest)
@@ -347,11 +376,11 @@ def test_coalescence_for_reconstruction(zheng3):
 
 def test_table_convergence(zheng3):
     exact_disc = discriminant(characteristic_polynomial(zheng3))
-    exact_modulus = abs(nearest_exceptional_point(exceptional_points(exact_disc)))
+    exact_modulus = abs(nearest_exceptional_point(exceptional_points([exact_disc])[0]))
     previous_error = None
     for k, expected in TABLE_PRESENT.items():
         disc = discriminant(reconstruct(p_space_series(zheng3, k)))
-        modulus = abs(nearest_exceptional_point(exceptional_points(disc)))
+        modulus = abs(nearest_exceptional_point(exceptional_points([disc])[0]))
         assert modulus == pytest.approx(expected, abs=1e-9), f"K={k}"
         error = abs(modulus - exact_modulus)
         if previous_error is not None:
@@ -368,7 +397,7 @@ def test_reconstruction_discriminants_even(zheng3):
 
 def test_nearest_representative_in_upper_half_plane(zheng3):
     disc = discriminant(characteristic_polynomial(zheng3))
-    groups = exceptional_points(disc)
+    groups = exceptional_points([disc])[0]
     nearest = nearest_exceptional_point(groups)
     assert abs(nearest) == pytest.approx(EXACT_EP1_MODULUS, abs=1e-9)
     assert len(groups[0]) == 2
@@ -386,7 +415,7 @@ def test_nearest_empty_raises():
 
 
 def test_double_root_at_origin():
-    [group] = exceptional_points(Polynomial((0.0, 0.0, 4.0)))
+    [group] = exceptional_points([Polynomial((0.0, 0.0, 4.0))])[0]
     assert len(group) == 2
     for z in group:
         assert abs(z) < 1e-12

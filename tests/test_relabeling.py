@@ -79,7 +79,7 @@ def nearest_or_fault(disc):
     """The nearest exceptional point of disc, or the type of the error that
     locating it raised."""
     try:
-        return nearest_exceptional_point(exceptional_points(disc))
+        return nearest_exceptional_point(exceptional_points([disc])[0])
     except SecresError as exc:
         return type(exc)
 

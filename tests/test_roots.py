@@ -249,6 +249,105 @@ def test_non_finite_column_does_not_spread():
         assert solo.roots[:, 0].tolist() == result.roots[:, m].tolist()
 
 
+def test_a_zero_column_raises():
+    # column 1 is the zero polynomial, which has no degree and no roots
+    with pytest.raises(ValueError, match="cannot find roots of the zero polynomial"):
+        all_roots([np.array([1.0, 0.0]), np.array([2.0, 0.0]), np.array([1.0, 0.0])])
+
+
+def test_a_constant_column_has_no_roots_beside_a_taller_one():
+    result = all_roots([np.array([2.0, 3.0]), np.array([-3.0, -0.0]), np.array([1.0, 0.0])])
+    assert result.roots.shape == (2, 2)
+    assert np.isnan(result.roots[:, 1]).all()
+    assert result.iterations[:, 1].tolist() == [0, 0]
+    assert result.column_converged[1] and result.column_residual[1] == 0.0
+    solo = all_roots([2.0, -3.0, 1.0])
+    assert result.roots[:, 0].tolist() == solo.roots[:, 0].tolist()
+
+
+def _random_column(rng, degree):
+    """Coefficients of one degree: real or complex, over 0 to 300 decades,
+    and about a third with zero low coefficients, so that some slots start
+    at radius 0."""
+    c = rng.standard_normal(degree + 1) + 0j
+    if rng.random() < 0.5:
+        c.imag = rng.standard_normal(degree + 1)
+    if rng.random() < 0.4:
+        c *= 10.0 ** rng.uniform(-150, 150, degree + 1)
+    if rng.random() < 0.3:
+        c[: rng.integers(1, degree + 1)] = 0.0
+    return c
+
+
+def _assert_lone_solves(columns):
+    """A batch of the columns, zero-padded to the top degree, gives each
+    column its lone solve bit for bit, and NaN rows below its degree."""
+    top = max(len(c) for c in columns) - 1
+    batch = np.zeros((top + 1, len(columns)), dtype=complex)
+    for m, c in enumerate(columns):
+        batch[:len(c), m] = c
+    result = all_roots(batch)
+    assert result.roots.shape == result.iterations.shape == (top, len(columns))
+    for m, c in enumerate(columns):
+        solo = all_roots(c)
+        degree = len(solo.roots)
+        assert result.roots[:degree, m].tobytes() == solo.roots[:, 0].tobytes(), m
+        assert np.isnan(result.roots[degree:, m]).all(), m
+        assert result.iterations[:degree, m].tolist() == solo.iterations[:, 0].tolist(), m
+        assert result.column_converged[m] == solo.converged, m
+        assert result.column_residual[m].hex() == solo.max_residual.hex(), m
+    return result
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mixed_degree_batches_match_lone_solves(seed):
+    # 2 to 8 columns of independent degrees 1 to 80 beside a degree-1
+    # column, a non-finite one and, in every third batch, the golden input
+    # that runs into MAX_ITERATIONS; the caller's column order is kept
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "aberth_iteration_cap.json").read_text()
+    )
+    capped = np.array([float.fromhex(c) for c in golden["coefficients"]])
+    rng = np.random.default_rng(500 + seed)
+    for batch in range(6):
+        columns = [_random_column(rng, int(d)) for d in rng.integers(1, 81, rng.integers(0, 6))]
+        columns += [_random_column(rng, 1), np.array(OVERFLOWING)]
+        if batch % 3 == 0:
+            columns.append(capped)
+        columns = [columns[k] for k in rng.permutation(len(columns))]
+        result = _assert_lone_solves(columns)
+        assert not result.column_converged.all()
+
+
+def test_a_short_column_beside_a_tall_one_matches_its_lone_solve():
+    # a batch with one column per degree group, and a group of two
+    rng = np.random.default_rng(41)
+    columns = [rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+               for d in (36, 4, 12, 4, 1, 80, 2, 3)]
+    assert _assert_lone_solves(columns).converged
+
+
+def test_horner_on_a_zero_padded_column_matches_the_unpadded_one():
+    # zero coefficients above the degree leave p and p' at +0.0, so padding
+    # a column to a taller one's degree does not change a bit of either
+    rng = np.random.default_rng(43)
+    for degree in range(1, 41):
+        for decades in (0, 8):
+            short = _signed_parts(rng, (degree + 1, 1), decades)
+            tall = _signed_parts(rng, (degree + 31, 1), decades)
+            padded = np.vstack([short, np.zeros((30, 1))])
+            z = _signed_parts(rng, (degree + 30, 2), decades)
+            z[rng.random(z.shape) < 0.1] = 0.0
+            with np.errstate(all="ignore"):
+                want = [plane.copy() for plane in _horner(short, (degree + 30, 1))(z[:, :1])]
+                alone = _horner(padded, (degree + 30, 1))(z[:, :1])
+                assert [plane.tobytes() for plane in alone] == [
+                    plane.tobytes() for plane in want]
+                beside = _horner(np.hstack([padded, tall]), z.shape)(z)
+                assert [plane[:, :1].tobytes() for plane in beside] == [
+                    plane.tobytes() for plane in want]
+
+
 def test_rows_sorted_like_sort_roots(monkeypatch):
     # few distinct parts force ties: equal real parts, conjugate pairs and
     # roots that differ only in the sign of a zero part; rows of 40 are past

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from secres import cli, discriminant, p_space_series, reconstruct
+from secres import (
+    characteristic_polynomial, cli, discriminant, p_space_series, reconstruct,
+)
 
 from conftest import ZHENG3_PATH
 
@@ -140,3 +142,37 @@ def test_each_command_loads_its_model_once(tmp_path, argv):
         recorder.remove()
     assert code == 0
     assert recorder.layer_totals()["model.load_model"]["calls"] == 1
+
+
+@pytest.mark.parametrize("argv, orders, exact", [
+    (("table1",), (2, 4, 6, 8, 10), True),
+    (("ep", "--model", str(ZHENG3_PATH), "--orders", "6", "--exact"), (6,), True),
+], ids=["table1", "ep-exact"])
+def test_each_ep_command_records_one_root_solve(tmp_path, zheng3, argv, orders, exact):
+    """All the discriminants of a command go to one all_roots call, whose
+    degree, as the tracer reads it, is the largest of theirs."""
+    tracer = load_tracer()
+    calls = []
+    observe = tracer._OBSERVERS["roots.all_roots"]
+
+    def recording(counters, args, result):
+        calls.append((len(result.roots), result.max_residual, result.converged))
+        observe(counters, args, result)
+
+    tracer._OBSERVERS["roots.all_roots"] = recording
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
+    finally:
+        recorder.remove()
+    assert code == 0
+    totals = recorder.layer_totals()
+    assert totals["roots.all_roots"]["calls"] == 1
+    assert totals["discriminant.exceptional_points"]["calls"] == 1
+    polys = [reconstruct(p_space_series(zheng3, k)) for k in orders]
+    polys += [characteristic_polynomial(zheng3)] if exact else []
+    ((degree, max_residual, converged),) = calls
+    assert degree == max(discriminant(poly).degree for poly in polys)
+    assert type(max_residual) is float
+    assert type(converged) is bool
