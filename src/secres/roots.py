@@ -142,13 +142,13 @@ def _starts(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layout(degrees: np.ndarray, rows: np.ndarray):
-    """(d, s, e, n) of each run s:e of one degree d in the ascending
-    degrees, n its working rows below d, and the mask of working slots at
-    or above their column's degree, or None where there are none."""
+    """(d, s, e, n) of each run s:e of columns of one degree d, in the
+    caller's order, n its working rows below d, and the mask of working
+    slots at or above their column's degree, or None where there are none."""
     bounds = [0, *(np.flatnonzero(degrees[1:] != degrees[:-1]) + 1).tolist(), len(degrees)]
-    firsts = degrees[bounds[:-1]]
-    groups = list(zip(firsts.tolist(), bounds, bounds[1:], rows.searchsorted(firsts).tolist()))
-    return groups, (rows[:, None] >= degrees if rows[-1] >= degrees[0] else None)
+    firsts = degrees[bounds[:-1]].tolist()
+    groups = list(zip(firsts, bounds, bounds[1:], rows.searchsorted(firsts).tolist()))
+    return groups, (rows[:, None] >= degrees if rows[-1] >= min(firsts) else None)
 
 
 def _repulsion(w: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -171,18 +171,18 @@ def _aberth(coeffs: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, ...]:
     freeze it; a column stops once all its roots are frozen, when one is
     non-finite, or after MAX_ITERATIONS.
 
-    Columns are polynomials of ascending degree d_m >= 1: coeffs is
-    (top+1, M) and the roots (top, M), whose rows d_m and up in column m,
-    its padding, are held at 0 and left out of the tests of which roots
-    move.  r is the column's smallest nonzero start radius, so the rule
-    does not depend on units.  A frozen root leaves the Horner and step
-    work but still repels the moving roots of its column.  The work runs
-    over the columns that have not stopped and the rows (root indices) that
-    still move in one of them.  A root's steps and freeze depend only on its
-    own column, and each degree group sums its repulsion over its own
-    degree in one order whatever M is, so a column's roots do not depend on
-    the other columns.  Returns the roots, the iteration at which each
-    stopped, and each column's converged and non-finite flags.
+    Columns are polynomials of degree d_m >= 1: coeffs is (top+1, M) and
+    the roots (top, M), whose rows d_m and up in column m, its padding, are
+    held at 0 and left out of the tests of which roots move.  r is the
+    column's smallest nonzero start radius, so the rule does not depend on
+    units.  A frozen root leaves the Horner and step work but still repels
+    the moving roots of its column.  The work runs over the columns that
+    have not stopped and the rows (root indices) that still move in one of
+    them.  A root's steps and freeze depend only on its own column, and
+    each run of columns of one degree sums its repulsion over that degree
+    in one order whatever M is, so a column's roots do not depend on the
+    other columns.  Returns the roots, the iteration at which each stopped,
+    and each column's converged and non-finite flags.
 
     The common step, in which every working root moves, makes about 20
     numpy calls beside Horner's and the repulsion's: the step, the hold of
@@ -195,8 +195,6 @@ def _aberth(coeffs: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     top, columns = coeffs.shape[0] - 1, coeffs.shape[1]
     rows = np.arange(top)
-    # a batch of one degree keeps its one group, with no padding slots
-    mixed = degrees[0] != degrees[-1]
     groups, pad = _layout(degrees, rows)
     roots, scale = np.zeros((top, columns), dtype=complex), np.empty(columns)
     for d, s, e, _ in groups:
@@ -217,7 +215,7 @@ def _aberth(coeffs: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, ...]:
     for _ in range(MAX_ITERATIONS):
         p, dp = horner(w)
         newton = p / dp
-        if pad is None and len(groups) == 1:
+        if len(groups) == 1:  # a padding slot's repulsion is never used
             repulsion = _repulsion(w, z[:groups[0][0]])
         else:
             repulsion = np.zeros(w.shape, dtype=complex)
@@ -283,7 +281,7 @@ def _aberth(coeffs: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, ...]:
             w = z if w.shape[0] == top else w.compress(keep, axis=1)
             if not active.size:
                 break
-            c = c[:degrees[-1] + 1]  # zero rows above every column's degree
+            c = c[:degrees.max() + 1]  # zero rows above every column's degree
         if w.shape[0] > 2:
             keep = any_of(moving, 1)
             if not all_of(keep):
@@ -295,7 +293,8 @@ def _aberth(coeffs: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, ...]:
                 changed = True
         if changed:
             horner = _horner(c, w.shape)
-            if mixed:
+            # a lone run with no padding stays so, and reads only its degree
+            if len(groups) > 1 or pad is not None:
                 groups, pad = _layout(degrees, rows)
     roots[:, active] = z
     iterations[rows[:, None], active] = count
@@ -342,23 +341,23 @@ def all_roots(coefficients: Sequence) -> RootSet:
     degrees = len(coeffs) - 1 - nonzero[::-1].argmax(axis=0)
     top = int(degrees.max()) if degrees.size else len(coeffs) - 1
     coeffs = coeffs[: top + 1]
-    pad = np.arange(top + 1)[:, None] >= degrees + 1
-    np.copyto(coeffs, 0.0, where=pad)  # +0.0 above each degree, never -0.0
+    pad = np.arange(top)[:, None] >= degrees  # the root slots of no root
+    np.copyto(coeffs[1:], 0.0, where=pad)  # +0.0 above each degree, never -0.0
 
-    roots = np.full((top, len(degrees)), np.nan, dtype=complex)
+    roots = np.empty((top, len(degrees)), dtype=complex)
     iterations = np.zeros(roots.shape, dtype=int)
     converged = np.ones(len(degrees), dtype=bool)
     residuals = np.zeros(len(degrees))
-    # the columns of nonzero degree, ascending; a constant column has no roots
-    solve = np.argsort(degrees, kind="stable")[np.count_nonzero(degrees == 0):]
-    if solve.size:
-        c, d = coeffs[:, solve], degrees[solve]
+    # a constant column has no roots; if none is, solve every column uncopied
+    solve = slice(None) if degrees.all() else degrees > 0
+    c, d = coeffs[:, solve], degrees[solve]
+    if d.size:
         with np.errstate(all="ignore"):
             z, iterations[:, solve], converged[solve], failed = _aberth(c, d)
-            residual, finite = np.full(solve.size, np.nan), ~failed
+            residual, finite = np.full(d.size, np.nan), ~failed
             z[:, finite], residual[finite] = _polish(c[:, finite], z[:, finite], d[finite])
         roots[:, solve], residuals[solve] = z, residual
-        roots[pad[1:]] = np.nan
+    np.copyto(roots, np.nan, where=pad)
 
     return RootSet(
         roots=roots,

@@ -320,10 +320,12 @@ def test_mixed_degree_batches_match_lone_solves(seed):
 
 
 def test_a_short_column_beside_a_tall_one_matches_its_lone_solve():
-    # a batch with one column per degree group, and a group of two
+    # runs of one degree in the caller's order: a run of two, a degree that
+    # recurs apart, and two degree-36 columns that become one run once the
+    # degree-1 column between them stops
     rng = np.random.default_rng(41)
     columns = [rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
-               for d in (36, 4, 12, 4, 1, 80, 2, 3)]
+               for d in (36, 1, 36, 4, 4, 12, 4, 80, 2, 3)]
     assert _assert_lone_solves(columns).converged
 
 
