@@ -20,11 +20,12 @@ maps exceptions to exit codes: 0 success, 1 I/O failure, 2 the input is
 at fault (every ValueError: a bad model or argument, or a model where no
 exceptional point can exist), 3 numerical failure (any other SecresError:
 root finding, or an internal invariant such as a non-finite coefficient).
-All output is deterministic for a fixed input
-and platform: no randomness, fixed iteration orders, fixed sorting
-conventions.  Floats in JSON reports are emitted as shortest-round-trip
-decimal strings so that no reader rounds them; CSV cells use
-17-significant-digit scientific notation.
+All output is deterministic for a fixed input and platform, and platform
+includes numpy's SIMD dispatch (np.log and np.exp in the root finder's
+starts) and the OpenBLAS kernel (the sweep's eigvalsh): no randomness,
+fixed iteration orders, fixed sorting conventions.  Floats in JSON
+reports are emitted as shortest-round-trip decimal strings so that no
+reader rounds them; CSV cells use 17-significant-digit scientific notation.
 """
 
 from __future__ import annotations

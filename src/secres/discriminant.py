@@ -11,12 +11,12 @@ this is the only place that grouping is done.
 
 The Bezout entries and the cofactor expansion run on float arrays with the
 coefficients on the last axis, yet each coefficient is the one a
-term-by-term Polynomial expansion gives, bit for bit.  Past a polynomial's
-length an addend holds -0.0, the identity of IEEE addition, so a padded
-sum copies the longer operand's tail as Polynomial.__add__ does; a
-subtrahend holds +0.0 there, as x - (+0.0) is x.  A product sums its terms
-in ascending order from +0.0 and skips zero factors, as Polynomial.mul
-does, so it never holds -0.0 and a zero term adds nothing.
+term-by-term expansion gives, bit for bit: every product is one of
+series.products, and every sum pads the shorter operand with zeros and
+keeps the longer one's length.  Past a polynomial's length an addend holds
+-0.0, the identity of IEEE addition, so a padded sum copies the longer
+operand's tail; a subtrahend holds +0.0 there, as x - (+0.0) is x.  A
+product never holds -0.0, so a zero term adds nothing.
 
 The discriminant of an order-K reconstruction is deliberately NOT
 re-truncated at lambda^K: its small roots at full length are what converge
@@ -35,37 +35,15 @@ from .errors import (
     DegreeTooSmall, InvariantViolation, RootFindingFailure, failed_solve,
 )
 from .roots import all_roots
-from .series import MonicPolynomial, Polynomial
+from .series import MonicPolynomial, Polynomial, products
 
 # relative tolerance for grouping symmetry partners (+-lambda, conjugates)
 MODULUS_TIE_TOL = 1e-12
 
 
-def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a * b over the lambda ring, coefficients on the last axis.
-
-    The leading axes of a and b broadcast to the batch of products.  Each
-    coefficient sums its terms a_i * b_j in ascending i from +0.0 and skips
-    a_i == 0 (0 * inf is nan), as Polynomial.mul does, so a finite product
-    reads +0.0 past its length.
-    """
-    rows, cols = a.shape[-1], b.shape[-1]
-    batch = np.broadcast(a[..., 0], b[..., 0]).shape
-    terms = np.empty(batch + (rows, rows + cols - 1))
-    terms.fill(-0.0)
-    # a_i b_j goes to row i, column i + j; the -0.0 elsewhere adds nothing
-    row_step, step = terms.strides[-2:]
-    skewed = np.ndarray(batch + (rows, cols), terms.dtype, terms, 0,
-                        terms.strides[:-2] + (row_step + step, step))
-    np.multiply(a[..., :, None], b[..., None, :], out=skewed)
-    # numpy reduces along the row axis term after term: it pairs terms up
-    # only along the contiguous axis, whose length is 1 only for one row
-    return np.add.reduce(terms, axis=-2, where=(a != 0.0)[..., None], initial=0.0)
-
-
-def _tails(products: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _tails(coefficients: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """True where a coefficient lies past its polynomial's length."""
-    return np.arange(products.shape[-1]) >= lengths[..., None]
+    return np.arange(coefficients.shape[-1]) >= lengths[..., None]
 
 
 def _bezout(p: list[Polynomial]) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +59,7 @@ def _bezout(p: list[Polynomial]) -> tuple[np.ndarray, np.ndarray]:
     # every product f[a] g[b], and its addend form: -0.0, the identity of
     # IEEE addition, past its length, so that a sum keeps the other operand
     product_len = np.add.outer(f_len[:-1], f_len[1:]) - 1
-    product = _products(f[:-1, None], g)
+    product = products(f[:-1, None], g)
     addend = np.where(_tails(product, product_len), -0.0, product)
 
     # (f(x)g(y) - f(y)g(x)) / (x - y) = sum B[i][j] x^i y^j, where B[i][j]
@@ -118,7 +96,7 @@ def _expand(entries: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         rest = np.array([[index[c[:p] + c[p + 1:]] for p in range(count)] for c in kept])
         row = size - count
         term_len = lengths[row, columns] + minor_len[rest] - 1
-        terms = _products(entries[row, columns], minors[rest])
+        terms = products(entries[row, columns], minors[rest])
         # even positions are added, so their tails turn to -0.0; odd ones
         # are subtracted, and x - (+0.0) is x.  As in the Bezout entries,
         # the sum from (0.0,) starts from the first term itself.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import failed_solve
 from .roots import all_roots
-from .series import MonicPolynomial, Polynomial
+from .series import MonicPolynomial, Polynomial, products
 
 
 def reconstruct(series_list: Iterable[Polynomial]) -> MonicPolynomial:
@@ -32,23 +32,25 @@ def reconstruct(series_list: Iterable[Polynomial]) -> MonicPolynomial:
     if not factors:
         raise ValueError("reconstruct needs at least one energy series")
     order = factors[0].degree
+    if order < 0:
+        raise ValueError("reconstruct needs series with at least one coefficient")
     for s in factors:
         if s.degree != order:
             raise ValueError(f"series orders differ: {order} vs {s.degree}")
 
-    # ascending powers of W; starts as the constant polynomial 1
-    zero = Polynomial((0.0,) * (order + 1))
-    poly = [Polynomial((1.0,) + (0.0,) * order)]
-    for s in factors:
-        shifted = [zero] + poly                            # W * poly
-        scaled = [c.mul(s, order) for c in poly] + [zero]  # E_n * poly
-        poly = [a - b for a, b in zip(shifted, scaled)]
+    # coefficients of ascending powers of W, one row each; starts as 1, and
+    # the top row stays zero until the last factor
+    poly = np.zeros((len(factors) + 1, order + 1))
+    poly[0, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e_n in np.array([s.coefficients for s in factors], dtype=float):
+            # W * poly - E_n * poly, each product cut at the order; the roll
+            # moves the zero top row to W^0
+            poly = np.roll(poly, 1, axis=0) - products(poly, e_n)[:, :order + 1]
 
-    n = len(factors)
     # p_j multiplies W^(N-j); drop the implicit leading 1
-    return MonicPolynomial(
-        tuple(poly[n - j].checked_finite() for j in range(1, n + 1))
-    )
+    return MonicPolynomial(tuple(Polynomial(tuple(row)).checked_finite()
+                                 for row in poly[-2::-1].tolist()))
 
 
 def eigenvalues_at(

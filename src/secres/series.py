@@ -1,12 +1,15 @@
-"""Polynomials in the coupling, and monic energy polynomials over them.
+"""Polynomials in the coupling, monic energy polynomials over them, and
+the one product of coupling polynomials.
 
 One type serves both the truncated energy series of the perturbation
 engine and the exact lambda polynomials of the characteristic polynomial
-and the discriminant.  Truncation is an explicit argument of ``mul``: with
-an order K every term of degree > K is discarded at the moment it would be
-formed, never post-hoc on an assembled product.  No operation drops
-trailing coefficients on its own; ``trimmed`` does, and it is called only
-where a degree is decided.  Coefficients are double-precision reals;
+and the discriminant.  Both types are values with no arithmetic: products
+forms every product of coupling polynomials, on float arrays, for
+reconstruct and for the discriminant.  Truncation at an order K keeps a
+product's K+1 lowest coefficients, each of which sums exactly its own
+terms, so no coefficient up to K gains or loses a term.  No operation
+drops trailing coefficients on its own; trimmed does, and it is called
+only where a degree is decided.  Coefficients are double-precision reals;
 complex numbers appear only at evaluation time, and a monic polynomial is
 evaluated on a grid of couplings only by secular.eigenvalues_at.  Neither
 type formats itself: the command line writes every output format.
@@ -17,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
+import numpy as np
+
 from .errors import InvariantViolation
 
 # tolerance for trailing-zero stripping, relative to the largest coefficient;
@@ -24,13 +29,34 @@ from .errors import InvariantViolation
 TRAILING_ZERO_TOL = 1e-12
 
 
+def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a * b of coupling polynomials, coefficients on the last axis.
+
+    The leading axes of a and b broadcast to the batch of products, each
+    of full length.  Each coefficient sums its terms a_i * b_j in
+    ascending i from +0.0 and skips a_i == 0 (0 * inf is nan), so a finite
+    product never holds -0.0 and reads +0.0 past its operands' lengths.
+    """
+    rows, cols = a.shape[-1], b.shape[-1]
+    batch = np.broadcast(a[..., 0], b[..., 0]).shape
+    terms = np.empty(batch + (rows, rows + cols - 1))
+    terms.fill(-0.0)
+    # a_i b_j goes to row i, column i + j; the -0.0 elsewhere adds nothing
+    row_step, step = terms.strides[-2:]
+    skewed = np.ndarray(batch + (rows, cols), terms.dtype, terms, 0,
+                        terms.strides[:-2] + (row_step + step, step))
+    np.multiply(a[..., :, None], b[..., None, :], out=skewed)
+    # numpy reduces along the row axis term after term: it pairs terms up
+    # only along the contiguous axis, whose length is 1 only for one row
+    return np.add.reduce(terms, axis=-2, where=(a != 0.0)[..., None], initial=0.0)
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial in the coupling, ascending coefficients c_0..c_D.
 
     A truncated series of order K is a polynomial with K+1 coefficients.
-    degree counts trailing zeros until trimmed() drops them.  Sums pad the
-    shorter operand with zeros.
+    degree counts trailing zeros until trimmed() drops them.
     """
 
     coefficients: tuple[float, ...]
@@ -38,30 +64,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(tuple(out))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + Polynomial(tuple(-c for c in other.coefficients))
-
-    def mul(self, other: "Polynomial", order: int | None = None) -> "Polynomial":
-        """Product; with an order K, the Cauchy product's K+1 lowest terms."""
-        b = other.coefficients
-        size = len(self.coefficients) + len(b) - 1 if order is None else order + 1
-        out = [0.0] * size
-        for i, a in enumerate(self.coefficients):
-            if a == 0.0:
-                continue
-            for j in range(min(len(b), size - i)):
-                out[i + j] += a * b[j]
-        return Polynomial(tuple(out))
 
     def trimmed(self) -> "Polynomial":
         """Drop trailing coefficients at or below TRAILING_ZERO_TOL * max|c_k|.

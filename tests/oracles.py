@@ -8,7 +8,9 @@ quadratic/cubic formulas.
 
 The loop references at the end are the exception: they repeat a production
 computation in its plain loop form, operation for operation, so that tests
-can require the faster form to give the same bits.
+can require the faster form to give the same bits.  They share one ring of
+lambda polynomials, ring_add, ring_sub and ring_mul, whose operations act
+one coefficient at a time on Polynomial values.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from secres import Polynomial
+from secres import MonicPolynomial, Polynomial
 
 
 def poly_mul(a, b):
@@ -238,19 +240,77 @@ def rspt_energies(model, state_index, order):
     return energies.tolist()
 
 
+def ring_add(p, q):
+    """p + q, the shorter operand padded with zeros."""
+    a, b = p.coefficients, q.coefficients
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return Polynomial(tuple(out))
+
+
+def ring_sub(p, q):
+    """p - q as p + (-q)."""
+    return ring_add(p, Polynomial(tuple(-c for c in q.coefficients)))
+
+
+def ring_mul(p, q, order=None):
+    """Product; with an order K, the Cauchy product's K+1 lowest terms.
+
+    Each coefficient sums its terms from 0.0 in ascending powers of p and
+    skips the zero coefficients of p.
+    """
+    b = q.coefficients
+    size = len(p.coefficients) + len(b) - 1 if order is None else order + 1
+    out = [0.0] * size
+    for i, a in enumerate(p.coefficients):
+        if a == 0.0:
+            continue
+        for j in range(min(len(b), size - i)):
+            out[i + j] += a * b[j]
+    return Polynomial(tuple(out))
+
+
+def ring_reconstruct(series_list):
+    """prod (W - E_n) over the ring, truncated inside every product.
+
+    The loop form of secres.secular.reconstruct: the same p_j, bit for bit,
+    and the same InvariantViolation for the first non-finite coefficient of
+    p_1, then p_2, and so on.
+    """
+    factors = list(series_list)
+    order = factors[0].degree
+
+    # ascending powers of W; starts as the constant polynomial 1
+    zero = Polynomial((0.0,) * (order + 1))
+    poly = [Polynomial((1.0,) + (0.0,) * order)]
+    for s in factors:
+        shifted = [zero] + poly                                 # W * poly
+        scaled = [ring_mul(c, s, order) for c in poly] + [zero]  # E_n * poly
+        poly = [ring_sub(a, b) for a, b in zip(shifted, scaled)]
+
+    n = len(factors)
+    # p_j multiplies W^(N-j); drop the implicit leading 1
+    return MonicPolynomial(
+        tuple(poly[n - j].checked_finite() for j in range(1, n + 1))
+    )
+
+
 def cofactor_det(matrix):
     """Laplace expansion along the first row, recomputing every minor.
 
-    The entries are the package's lambda polynomials and supply the ring
-    operations, so only the order of the expansion is under test.
+    The entries are Polynomials multiplied and summed by the ring above, so
+    only the order of the expansion is under test.
     """
     if len(matrix) == 1:
         return matrix[0][0]
     total = type(matrix[0][0])((0.0,))
     for col in range(len(matrix)):
         minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
-        term = matrix[0][col].mul(cofactor_det(minor))
-        total = total - term if col % 2 else total + term
+        term = ring_mul(matrix[0][col], cofactor_det(minor))
+        total = ring_sub(total, term) if col % 2 else ring_add(total, term)
     return total
 
 
@@ -270,8 +330,8 @@ def bezout_det(matrix):
             return row[columns[0]]
         total = Polynomial((0.0,))
         for position, col in enumerate(columns):
-            term = row[col].mul(minor(columns[:position] + columns[position + 1:]))
-            total = total - term if position % 2 else total + term
+            term = ring_mul(row[col], minor(columns[:position] + columns[position + 1:]))
+            total = ring_sub(total, term) if position % 2 else ring_add(total, term)
         return total
 
     return minor(tuple(range(size)))
@@ -292,7 +352,7 @@ def bezout_matrix(poly):
 
     @cache
     def product(a, b):
-        return f[a].mul(g[b])  # each one recurs in many entries
+        return ring_mul(f[a], g[b])  # each one recurs in many entries
 
     # Bezout matrix: (f(x)g(y) - f(y)g(x)) / (x - y) = sum B[i][j] x^i y^j
     bezout = []
@@ -301,7 +361,8 @@ def bezout_matrix(poly):
         for j in range(degree):
             entry = Polynomial((0.0,))
             for k in range(min(i, degree - 1 - j) + 1):
-                entry = entry + product(j + k + 1, i - k) - product(i - k, j + k + 1)
+                entry = ring_sub(ring_add(entry, product(j + k + 1, i - k)),
+                                 product(i - k, j + k + 1))
             row.append(entry)
         bezout.append(row)
     return bezout

@@ -17,7 +17,7 @@ from secres import (
 from secres.cli import cmd_reconstruct
 
 from conftest import benchmark_models, roots_at
-from oracles import poly_mul, truncate
+from oracles import poly_mul, ring_reconstruct, truncate
 
 
 def test_reconstruct_two_states_matches_hand_expansion(zheng3):
@@ -99,10 +99,46 @@ def test_reconstruct_truncates_inside_every_product(zheng3):
             ], (model, k)
 
 
+@pytest.mark.parametrize("order", [0, 1, 6, 40])
+def test_reconstruct_equals_ring_bit_for_bit(zheng3, order):
+    # the array loop repeats the ring's operations in its order, so every
+    # coefficient, the sign of each zero included, is the ring's
+    for model in [zheng3] + benchmark_models():
+        series = p_space_series(model, order)
+        got, want = reconstruct(series), ring_reconstruct(series)
+        assert [[c.hex() for c in p.coefficients] for p in got.coefficients] == [
+            [c.hex() for c in p.coefficients] for p in want.coefficients
+        ], model
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_SERIES = {
+    "overflow-in-p2": [(1e200, 0.0), (1e200, 0.0)],
+    "nan-in-p1": [(1.0, NAN, 0.0), (2.0, 1.0, 0.0)],
+    "inf-after-finite": [(1.0, 2.0, INF), (0.5, 1e200, 1e200), (3.0, 0.0, 1.0)],
+    "inf-minus-inf": [(INF, 1.0), (-INF, 1.0)],
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_SERIES)
+def test_reconstruct_names_the_ring_s_first_non_finite(case):
+    series = [Polynomial(c) for c in NON_FINITE_SERIES[case]]
+    with pytest.raises(InvariantViolation) as ring:
+        ring_reconstruct(series)
+    with pytest.raises(InvariantViolation, match=f"^{ring.value}$"):
+        reconstruct(series)
+
+
 def test_reconstruct_empty_raises():
     with pytest.raises(ValueError,
                        match="reconstruct needs at least one energy series"):
         reconstruct([])
+
+
+def test_reconstruct_series_without_coefficients_raises():
+    message = "reconstruct needs series with at least one coefficient"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reconstruct([Polynomial(()), Polynomial(())])
 
 
 def test_reconstruct_mixed_orders_raises():
