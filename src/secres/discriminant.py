@@ -10,13 +10,13 @@ couplings, grouped into symmetry partners (conjugates, +-lambda) by modulus;
 this is the only place that grouping is done.
 
 The Bezout entries and the cofactor expansion run on float arrays with the
-coefficients on the last axis, yet each coefficient is the one a
-term-by-term expansion gives, bit for bit: every product is one of
-series.products, and every sum pads the shorter operand with zeros and
-keeps the longer one's length.  Past a polynomial's length an addend holds
--0.0, the identity of IEEE addition, so a padded sum copies the longer
-operand's tail; a subtrahend holds +0.0 there, as x - (+0.0) is x.  A
-product never holds -0.0, so a zero term adds nothing.
+coefficients on the last axis, every polynomial padded with +0.0, so a sum
+can differ from the term-by-term expansion's only in the sign of a zero.
+No product reads that sign (see series.products), and every entry and
+minor reaches the result as a factor of a product, so only the last
+alternating sum can differ.  On every polynomial the tests compare, it
+differs only in zeros past the last nonzero coefficient, which trimmed()
+drops: the discriminant is the expansion's bit for bit.
 
 The discriminant of an order-K reconstruction is deliberately NOT
 re-truncated at lambda^K: its small roots at full length are what converge
@@ -41,44 +41,30 @@ from .series import MonicPolynomial, Polynomial, products
 MODULUS_TIE_TOL = 1e-12
 
 
-def _tails(coefficients: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """True where a coefficient lies past its polynomial's length."""
-    return np.arange(coefficients.shape[-1]) >= lengths[..., None]
-
-
-def _bezout(p: list[Polynomial]) -> tuple[np.ndarray, np.ndarray]:
-    """Bezout matrix of p and dp/dE: entries B[i, j, :] and their lengths."""
+def _bezout(p: list[Polynomial]) -> np.ndarray:
+    """Bezout matrix of p and dp/dE: entries B[i, j, :]."""
     degree = len(p)
     # ascending energy coefficients of p (monic), one row each and padded
     # with +0.0, then the zero polynomial; g = dp/dE takes rows 1 on
     f = [q.coefficients for q in reversed(p)] + [(1.0,), (0.0,)]
-    f_len = [len(c) for c in f]
-    width = max(f_len)
+    width = max(map(len, f))
     f = np.array([c + (0.0,) * (width - len(c)) for c in f])
     g = np.arange(1.0, degree + 2)[:, None] * f[1:]
-    # every product f[a] g[b], and its addend form: -0.0, the identity of
-    # IEEE addition, past its length, so that a sum keeps the other operand
-    product_len = np.add.outer(f_len[:-1], f_len[1:]) - 1
-    product = products(f[:-1, None], g)
-    addend = np.where(_tails(product, product_len), -0.0, product)
+    product = products(f[:-1, None], g)  # every product f[a] g[b]
 
     # (f(x)g(y) - f(y)g(x)) / (x - y) = sum B[i][j] x^i y^j, where B[i][j]
     # starts from (0.0,), adds f[j+k+1] g[i-k] and subtracts f[i-k] g[j+k+1]
     # for k = 0, 1, ... while k <= i and j + k < N: at step k, the block
-    # i >= k, j < N - k.  0.0 + x is x for every product coefficient x
-    # (none is -0.0), so step 0 starts from the addend itself.
-    entries = addend[1:, :degree].transpose(1, 0, 2) - product[:degree, 1:]
-    step_len = np.maximum(product_len, product_len.T)
-    lengths = step_len[:degree, 1:].copy()
+    # i >= k, j < N - k.  Step 0 starts from the product itself.
+    entries = product[1:, :degree].transpose(1, 0, 2) - product[:degree, 1:]
     for k in range(1, degree):
-        block, block_len = entries[k:, :degree - k], lengths[k:, :degree - k]
-        np.add(block, addend[k + 1:, :degree - k].transpose(1, 0, 2), out=block)
+        block = entries[k:, :degree - k]
+        np.add(block, product[k + 1:, :degree - k].transpose(1, 0, 2), out=block)
         np.subtract(block, product[:degree - k, k + 1:], out=block)
-        np.maximum(block_len, step_len[:degree - k, k + 1:], out=block_len)
-    return entries, lengths
+    return entries
 
 
-def _expand(entries: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _expand(entries: np.ndarray) -> np.ndarray:
     """Coefficients of the cofactor determinant of Bezout entries.
 
     The expansion runs down the rows, so a minor is fixed by the columns it
@@ -87,27 +73,19 @@ def _expand(entries: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     the order the plain expansion would use.
     """
     size = len(entries)
-    minors, minor_len = entries[-1], lengths[-1]
+    minors = entries[-1]
     kept = [(c,) for c in range(size)]
     for count in range(2, size + 1):
         index = {columns: n for n, columns in enumerate(kept)}
         kept = list(combinations(range(size), count))
         columns = np.array(kept)
         rest = np.array([[index[c[:p] + c[p + 1:]] for p in range(count)] for c in kept])
-        row = size - count
-        term_len = lengths[row, columns] + minor_len[rest] - 1
-        terms = products(entries[row, columns], minors[rest])
-        # even positions are added, so their tails turn to -0.0; odd ones
-        # are subtracted, and x - (+0.0) is x.  As in the Bezout entries,
-        # the sum from (0.0,) starts from the first term itself.
-        added = terms[:, ::2]
-        np.copyto(added, -0.0, where=_tails(added, term_len[:, ::2]))
+        terms = products(entries[size - count, columns], minors[rest])
         minors = terms[:, 0] - terms[:, 1]
         for position in range(2, count):
             operation = np.subtract if position % 2 else np.add
             operation(minors, terms[:, position], out=minors)
-        minor_len = term_len.max(axis=1)
-    return minors[0, :minor_len[0]]
+    return minors[0]
 
 
 def discriminant(poly: MonicPolynomial) -> Polynomial:
@@ -124,7 +102,7 @@ def discriminant(poly: MonicPolynomial) -> Polynomial:
     p = [q.trimmed() for q in poly.coefficients]
     degree_cap = degree * (degree - 1) * max(q.degree for q in p)
     with np.errstate(over="ignore", invalid="ignore"):
-        coefficients = _expand(*_bezout(p))
+        coefficients = _expand(_bezout(p))
     disc = Polynomial(tuple(coefficients.tolist())).checked_finite().trimmed()
     if disc.degree > degree_cap:
         raise InvariantViolation(

@@ -35,13 +35,14 @@ def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The leading axes of a and b broadcast to the batch of products, each
     of full length.  Each coefficient sums its terms a_i * b_j in
     ascending i from +0.0 and skips a_i == 0 (0 * inf is nan), so a finite
-    product never holds -0.0 and reads +0.0 past its operands' lengths.
+    product never holds -0.0, reads +0.0 past its operands' lengths, and
+    is the same whatever the sign of a zero in a or b: a +-0 term leaves
+    a sum that started from +0.0 as it is.
     """
     rows, cols = a.shape[-1], b.shape[-1]
     batch = np.broadcast(a[..., 0], b[..., 0]).shape
-    terms = np.empty(batch + (rows, rows + cols - 1))
-    terms.fill(-0.0)
-    # a_i b_j goes to row i, column i + j; the -0.0 elsewhere adds nothing
+    terms = np.zeros(batch + (rows, rows + cols - 1))
+    # a_i b_j goes to row i, column i + j; the +0.0 elsewhere adds nothing
     row_step, step = terms.strides[-2:]
     skewed = np.ndarray(batch + (rows, cols), terms.dtype, terms, 0,
                         terms.strides[:-2] + (row_step + step, step))

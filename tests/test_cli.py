@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -1047,3 +1051,42 @@ def test_parser_built_once_for_many_commands(capsys):
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
     assert cli.build_parser.cache_info().misses == 1
+
+
+def run_module(*argv):
+    """Run python -m secres.cli in a fresh interpreter on the source tree."""
+    root = Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run([sys.executable, "-m", "secres.cli", *argv], cwd=root,
+                          env=env, capture_output=True, check=False)
+
+
+def test_module_entry_point_exits_with_main_s_code(tmp_path):
+    # console_main and the __main__ guard pass main's exit code to the
+    # shell, and its output through unchanged
+    done = run_module("validate", "--model", MODEL)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"OK\n", b"")
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps({"dimension": 2, "h0_diagonal": [1, 1],
+                                "interaction": [[1, 2, 0.5]], "p_space": [1]}))
+    done = run_module("validate", "--model", str(path))
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (b"error: DegenerateUnperturbed: "
+                           b"h0_diagonal entries 1 and 2 are both 1.0\n")
+    done = run_module("table1")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / "table1.txt").read_bytes()
+
+
+def test_sweeps_and_ep_reports_run_concurrently(zheng3):
+    # everything is immutable and pure, so threads sharing the library
+    # give each call the result it gives alone
+    spec = SweepSpec(0.0, 0.5, 1001, (2, 4, 6, 8, 10))
+    sweep = cli.sweep_csv_lines(zheng3, spec)
+    report = cli.ep_report(zheng3, (10, 20, 30, 40), True)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        sweeps = [pool.submit(cli.sweep_csv_lines, zheng3, spec) for _ in range(16)]
+        reports = [pool.submit(cli.ep_report, zheng3, (10, 20, 30, 40), True)
+                   for _ in range(16)]
+        assert all(future.result() == sweep for future in sweeps)
+        assert all(future.result() == report for future in reports)

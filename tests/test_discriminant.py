@@ -18,13 +18,14 @@ from secres import (
     discriminant,
     eigenvalues_at,
     exceptional_points,
+    load_model,
     nearest_exceptional_point,
     p_space_series,
     reconstruct,
 )
 from secres.cli import main
 
-from conftest import ZHENG3_PATH, roots_at
+from conftest import ZHENG3_PATH, benchmark_models, roots_at
 from oracles import (
     bezout_discriminant,
     bezout_matrix,
@@ -34,7 +35,7 @@ from oracles import (
     quadratic_discriminant_value,
     random_model_data,
 )
-from test_cli import OVERFLOW_DISC
+from test_cli import OVERFLOW_DISC, UNREACHED
 
 EXACT_EP1_MODULUS = 0.05139217757
 EXACT_EP2 = 0.2381164319 + 0.5028706167j
@@ -141,21 +142,39 @@ ZERO_COUPLING = MatrixModel(4, (0.0, 1.0, 2.5, 4.0),
                             ((1, 2, 0.5), (2, 3, 0.0), (3, 4, 0.7), (1, 4, 0.3)), (1, 2))
 
 
+# the block model splits into a coupled pair and two lone states
+BLOCK = MatrixModel.from_dict(UNREACHED)
+BLOCK_ALL = MatrixModel.from_dict({**UNREACHED, "p_space": [1, 2, 3, 4]})
+
+
+def exact_and_orders(name, model, orders):
+    """Ring cases for a model's exact polynomial and its order-K ones."""
+    return {f"{name}-exact": lambda: characteristic_polynomial(model),
+            **{f"{name}-K{k}": lambda k=k: reconstruct(p_space_series(model, k))
+               for k in orders}}
+
+
 RING_CASES = {
     **{f"exact-D{dim}": lambda dim=dim: characteristic_polynomial(seeded_model(dim))
        for dim in range(2, 10)},
     **{f"N{n}-K{k}": lambda n=n, k=k: reconstruct(p_space_series(
         seeded_model(6, tuple(range(1, n + 1)), seed=200 + n), k))
        for n in range(2, 6) for k in (2, 6, 20, 40)},
-    "zero-coupling-exact": lambda: characteristic_polynomial(ZERO_COUPLING),
-    "zero-coupling-K6": lambda: reconstruct(p_space_series(ZERO_COUPLING, 6)),
+    **exact_and_orders("zero-coupling", ZERO_COUPLING, (6,)),
+    **exact_and_orders("zheng3", load_model(ZHENG3_PATH), (2, 10, 40)),
+    **exact_and_orders("block", BLOCK, (6,)),
+    **exact_and_orders("block-all", BLOCK_ALL, (6,)),
+    **{case: poly for index, model in enumerate(benchmark_models())
+       for case, poly in exact_and_orders(f"benchmark{index}", model, (6, 40)).items()},
 }
 
 
 @pytest.mark.parametrize("case", RING_CASES)
 def test_discriminant_equals_ring_expansion_bit_for_bit(case):
-    # the arrays repeat the ring's operations in its order, so every
-    # coefficient, the sign of each zero included, is the ring's
+    # the arrays pad with +0.0 where the ring keeps shorter polynomials, so
+    # a sum may differ from the ring's in the sign of a zero; no product
+    # reads that sign, and trimmed() drops the trailing zeros of the last
+    # sum, so every coefficient, the sign of each zero included, is the ring's
     poly = RING_CASES[case]()
     assert bits(discriminant(poly)) == bits(bezout_discriminant(poly))
 
@@ -184,32 +203,42 @@ def test_one_discriminant_leaves_no_cyclic_garbage():
     assert garbage == []
 
 
+def folded(values):
+    """Bytes of float coefficients with every zero made +0.0."""
+    return (np.asarray(values, dtype=float) + 0.0).tobytes()
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
 def test_cached_determinant_equals_plain_expansion(monkeypatch, dim):
     # computing each minor once, one size at a time, must not change a
-    # single operation or its order
+    # single operation or its order.  The arrays pad with +0.0 where the
+    # ring keeps shorter polynomials, so entries and the raw determinant
+    # may differ from the ring's in the sign of a zero, which no product
+    # reads; the trimmed discriminant must not differ at all
     module = importlib.import_module("secres.discriminant")
     expand = module._expand
     calls = []
 
-    def recording(entries, lengths):
-        calls.append((entries, lengths, expand(entries, lengths)))
-        return calls[-1][2]
+    def recording(entries):
+        calls.append((entries, expand(entries)))
+        return calls[-1][1]
 
     monkeypatch.setattr(module, "_expand", recording)
     poly = characteristic_polynomial(seeded_model(dim))
     disc = discriminant(poly)
-    ((entries, lengths, det),) = calls
-    assert entries.shape[:2] == lengths.shape == (dim, dim)
-    # past its length an entry holds -0.0, the identity of addition
-    tails = np.arange(entries.shape[-1]) >= lengths[..., None]
-    assert np.all((entries[tails] == 0.0) & np.signbit(entries[tails]))
-    bezout = [[Polynomial(tuple(entries[i, j, :lengths[i, j]].tolist()))
-               for j in range(dim)] for i in range(dim)]
-    assert [[bits(e) for e in row] for row in bezout] == [
-        [bits(e) for e in row] for row in bezout_matrix(poly)]
-    plain = cofactor_det(bezout)
-    assert det.tobytes() == bits(plain)
+    ((entries, det),) = calls
+    ring = bezout_matrix(poly)
+    assert entries.shape[:2] == (dim, dim)
+    for i in range(dim):
+        for j in range(dim):
+            length = len(ring[i][j].coefficients)
+            tail = entries[i, j, length:]
+            assert tail.tobytes() == bytes(tail.nbytes)  # +0.0 past the ring's length
+            assert folded(entries[i, j, :length]) == folded(ring[i][j].coefficients)
+    plain = cofactor_det(ring)
+    padded = np.zeros(len(det))
+    padded[:len(plain.coefficients)] = plain.coefficients
+    assert folded(det) == folded(padded)
     assert bits(disc) == bits(plain.trimmed())
 
 
@@ -222,7 +251,7 @@ def test_discriminant_degree_cap(monkeypatch, capsys, zheng3, excess):
     degree = cap + excess
     module = importlib.import_module("secres.discriminant")
     det = np.array((0.0,) * degree + (1.0,))
-    monkeypatch.setattr(module, "_expand", lambda entries, lengths: det)
+    monkeypatch.setattr(module, "_expand", lambda entries: det)
     if not excess:
         assert discriminant(cp).degree == cap
         return

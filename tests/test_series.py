@@ -153,3 +153,28 @@ def test_product_skips_zero_factors():
     assert [c.hex() for c in got.tolist()] == want
     assert hex_of(ring_mul(Polynomial((0.0, 1.0)), Polynomial((inf, 1.0)))) == want
 
+
+
+def test_products_ignore_the_sign_of_every_zero():
+    # the discriminant pads with +0.0 where the ring keeps shorter
+    # polynomials, which rests on this: the sign of a zero in either
+    # operand never reaches a product's bytes, and no product holds -0.0
+    rng = np.random.default_rng(27)
+    for batch in range(300):
+        rows, cols = (int(n) for n in rng.integers(1, 8, size=2))
+        a = np.where(rng.random((3, rows)) < 0.4, 0.0, rng.uniform(-1, 1, (3, rows)))
+        b = np.where(rng.random((3, cols)) < 0.4, 0.0, rng.uniform(-1, 1, (3, cols)))
+        if batch % 3 == 0:
+            a[...] = 0.0
+        want = products(a, b)
+        assert not np.any(np.signbit(want[want == 0.0]))
+        for operand in (a, b):
+            # each zero on its own, then every zero at once
+            zeros = [np.unravel_index(n, operand.shape)
+                     for n in np.flatnonzero(operand == 0.0)]
+            for flipped in [[z] for z in zeros] + [zeros]:
+                saved = operand.copy()
+                for z in flipped:
+                    operand[z] = -operand[z]
+                assert products(a, b).tobytes() == want.tobytes()
+                operand[...] = saved
