@@ -7,7 +7,8 @@ effective Hamiltonian -> discriminant in the coupling -> exceptional points
 radius of convergence.
 """
 
-from .charpoly import characteristic_polynomial, exact_eigenvalues_at
+from .charpoly import (characteristic_polynomial, eigenvalue_gap, exact_eigenvalues_at,
+                       exact_exceptional_points)
 from .discriminant import discriminant, exceptional_points, nearest_exceptional_point
 from .errors import (
     DegenerateUnperturbed,
@@ -49,8 +50,10 @@ __all__ = [
     "all_roots",
     "characteristic_polynomial",
     "discriminant",
+    "eigenvalue_gap",
     "eigenvalues_at",
     "exact_eigenvalues_at",
+    "exact_exceptional_points",
     "exceptional_points",
     "interaction_matrix",
     "load_model",

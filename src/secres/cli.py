@@ -1,13 +1,15 @@
 """Command-line front end: validate models, run the pipeline, emit CSV/JSON.
 
 The library returns plain roots and the records are built here: an EP
-record's modulus and residual come from its root and discriminant at output
-time, its multiplicity is the size of its symmetry group, and its source is
-"exact" or "order-K"; table1 prints the moduli alone.  The series and the
-secular polynomial are built once, at a command's top order, and each
-order's is a prefix.  A sweep's exact column is one batched eigvalsh of
-H(lambda) and each order's column one batch root solve, returned as sorted
-rows; ep and table1 solve all their discriminants in one root solve.
+record's modulus, and an order-K record's residual, come from its root and
+discriminant at output time, its multiplicity is the size of its symmetry
+group, and its source is "exact" or "order-K"; table1 prints the moduli
+alone.  The series and the secular polynomial are built once, at a
+command's top order, and each order's is a prefix.  A sweep's exact column
+is one batched eigvalsh of H(lambda) and each order's column one batch root
+solve, returned as sorted rows; ep and table1 solve all their order-K
+discriminants in one root solve, and take the exact EPs from one eigvals of
+a companion matrix, whose nearest must pass the GAP_BOUND check.
 Every column, lambda included, goes through one formatter as one block of
 cells: a value shows its imaginary part when it exceeds
 IMAG_REPORT_THRESHOLD times the largest |z| in its row of the block,
@@ -22,8 +24,9 @@ exceptional point can exist), 3 numerical failure (any other SecresError:
 root finding, or an internal invariant such as a non-finite coefficient).
 All output is deterministic for a fixed input and platform, and platform
 includes numpy's SIMD dispatch (np.log and np.exp in the root finder's
-starts) and the OpenBLAS kernel (the sweep's eigvalsh): no randomness,
-fixed iteration orders, fixed sorting conventions.  Floats in JSON
+starts) and the OpenBLAS kernel under LAPACK (the sweep's eigvalsh, the
+exact EPs' eigvals): no randomness, fixed iteration orders, fixed sorting
+conventions.  Floats in JSON
 reports are emitted as shortest-round-trip decimal strings so that no
 reader rounds them; CSV cells use 17-significant-digit scientific notation.
 """
@@ -42,7 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .charpoly import characteristic_polynomial, exact_eigenvalues_at
+from .charpoly import (characteristic_polynomial, eigenvalue_gap, exact_eigenvalues_at,
+                       exact_exceptional_points)
 from .discriminant import discriminant, exceptional_points, nearest_exceptional_point
 from .errors import InvariantViolation, SecresError
 from .model import MatrixModel, _number, load_model
@@ -56,6 +60,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 IMAG_REPORT_THRESHOLD = 1e-10
+GAP_BOUND = 1e-3  # the largest eigenvalue gap at the exact nearest point
 TABLE1_ORDERS = (2, 4, 6, 8, 10)
 
 
@@ -185,47 +190,55 @@ def sweep_csv_lines(model: MatrixModel, spec: SweepSpec) -> list[str]:
 
 
 def _exceptional_points(model: MatrixModel, orders: tuple[int, ...], include_exact: bool):
-    """The exact discriminant, if asked for, then each order's, and the
-    exceptional points of all from one exceptional_points call.  If a build
-    raises, the ones built before it are solved first, and the first of
-    them to fail raises instead, as if each were solved before the next was
-    built.  DegreeTooSmall, a ValueError, means no two eigenvalues meet."""
+    """The exact exceptional points and their nearest's eigenvalue gap, if
+    asked for, then each order's discriminant and the exceptional points of
+    all from one exceptional_points call.  If a build raises, the ones built
+    before it are solved first, and the first of them to fail raises instead,
+    as if each were solved before the next was built.  DegreeTooSmall, a
+    ValueError, means no two eigenvalues meet."""
+    exact = None
+    if include_exact:
+        groups = exact_exceptional_points(model)
+        nearest = nearest_exceptional_point(groups)
+        gap = eigenvalue_gap(model, nearest)
+        if not gap <= GAP_BOUND:  # a NaN gap fails too
+            raise InvariantViolation(f"exact exceptional point {nearest!r} fails its "
+                                     f"check: eigenvalue gap {gap:.3e} > {GAP_BOUND:g}")
+        exact = groups, gap
     discs: list[Polynomial] = []
     try:
-        if include_exact:
-            discs.append(discriminant(characteristic_polynomial(model)))
         for poly in _secular_polynomials(model, orders):
             discs.append(discriminant(poly))
     except Exception:
         exceptional_points(discs)
         raise
-    return discs, exceptional_points(discs)
+    return exact, discs, exceptional_points(discs)
 
 
-def _ep_block(disc: Polynomial, groups: list[list[complex]], source: str) -> dict:
+def _ep_block(groups: list[list[complex]], source: str, disc=None, gap=None) -> dict:
     points = [{"re": _json_float(z.real), "im": _json_float(z.imag),
                "modulus": _json_float(abs(z)), "source": source,
-               "residual": _json_float(abs(disc.evaluate(z)))}
+               **({} if disc is None else {"residual": _json_float(abs(disc.evaluate(z)))})}
               for group in groups for z in group]
     nearest = nearest_exceptional_point(groups)
     # groups[0] leads the points, and nearest is one of its members
     block = points[[z is nearest for z in groups[0]].index(True)]
     return {
-        "nearest": {**block, "multiplicity": len(groups[0])},
+        "nearest": {**block, "multiplicity": len(groups[0]),
+                    **({} if gap is None else {"gap": _json_float(gap)})},
         "nearest_modulus": block["modulus"],
         "points": points,
     }
 
 
 def ep_report(model: MatrixModel, orders: tuple[int, ...], include_exact: bool) -> dict:
-    """Exceptional points per reconstruction order, with the exact reference."""
-    discs, groups = _exceptional_points(model, orders, include_exact)
-    sources = ["exact"] * include_exact + [f"order-{k}" for k in orders]
-    blocks = [_ep_block(*block) for block in zip(discs, groups, sources)]
-    report: dict = {"orders": [{"order": k, **block}
-                               for k, block in zip(orders, blocks[include_exact:])]}
-    if include_exact:
-        report["exact"] = blocks[0]
+    """Exceptional points per reconstruction order, with the exact reference;
+    only order-K points have a discriminant, so only they carry a residual."""
+    exact, discs, groups = _exceptional_points(model, orders, include_exact)
+    report: dict = {"orders": [{"order": k, **_ep_block(g, f"order-{k}", disc)}
+                               for k, disc, g in zip(orders, discs, groups)]}
+    if exact:
+        report["exact"] = _ep_block(exact[0], "exact", gap=exact[1])
     return report
 
 
@@ -276,9 +289,9 @@ def cmd_ep(model: MatrixModel, args: argparse.Namespace) -> str:
 
 
 def cmd_table1(model: MatrixModel, args: argparse.Namespace) -> str:
-    _, groups = _exceptional_points(model, TABLE1_ORDERS, True)
-    # ep's nearest_modulus of each discriminant, the exact one first
-    exact, *moduli = [_json_float(abs(nearest_exceptional_point(g))) for g in groups]
+    (exact, _), _, groups = _exceptional_points(model, TABLE1_ORDERS, True)
+    # ep's nearest_modulus of each block, the exact one first
+    exact, *moduli = [_json_float(abs(nearest_exceptional_point(g))) for g in [exact, *groups]]
     rows = [f"{k:<6d} {modulus}" for k, modulus in zip(TABLE1_ORDERS, moduli)]
     return "\n".join(["K      nearest-EP modulus", *rows, f"exact  {exact}"])
 
@@ -337,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p)
     p.add_argument("--orders", default="", help="comma-separated orders K")
     p.add_argument("--exact", action="store_true",
-                   help="include the exact characteristic-polynomial reference")
+                   help="include the exact reference, every EP of H(lambda) itself")
     add_out(p)
     p.set_defaults(handler=cmd_ep)
 

@@ -117,13 +117,8 @@ def exceptional_points(discs: Sequence[Polynomial]) -> list[list[list[complex]]]
     One all_roots call, whose final Newton steps are the only refinement,
     solves them all; the first, in order, that is constant or did not
     converge raises DegreeTooSmall or RootFindingFailure.  The roots of
-    each come back as groups of symmetry partners sharing a modulus (within
-    MODULUS_TIE_TOL), groups in ascending modulus and the members of each
-    group in ascending principal argument.  A member within that tolerance
-    of an image of the group's nearest_exceptional_point pick z is replaced
-    by it, so partners share one modulus bit for bit: the coefficients are
-    real, so z-bar is an image, and so are -z and -z-bar when every odd
-    coefficient is 0.
+    each come back as partner_groups: the coefficients are real, so z-bar
+    is an image, and -z and -z-bar are too when every odd coefficient is 0.
     """
     solved = [disc.coefficients for disc in discs if disc.degree >= 1]
     if solved:
@@ -141,32 +136,41 @@ def exceptional_points(discs: Sequence[Polynomial]) -> list[list[list[complex]]]
             raise RootFindingFailure(failed_solve(
                 "discriminant root iteration", "", result.column_residual[m].item()))
         roots = result.roots[:np.flatnonzero(disc.coefficients)[-1], m].tolist()
-        groups: list[list[complex]] = []
-        for z in sorted(roots, key=lambda z: (abs(z), cmath.phase(z))):
-            if groups and abs(abs(z) - abs(groups[-1][0])) <= MODULUS_TIE_TOL * max(
-                1.0, abs(groups[-1][0])
-            ):
-                groups[-1].append(z)
-            else:
-                groups.append([z])
-        even = not any(disc.coefficients[1::2])
-        for group in groups:
-            group.sort(key=cmath.phase)
-            z = nearest_exceptional_point([group])
-            images = (z, z.conjugate()) + ((-z, -z.conjugate()) if even else ())
-            for i, member in enumerate(group):
-                image = min(images, key=lambda w: abs(w - member))
-                if abs(image - member) <= MODULUS_TIE_TOL * max(1.0, abs(z)):
-                    group[i] = image
-            group.sort(key=cmath.phase)
-        reports.append(groups)
+        reports.append(partner_groups(roots, not any(disc.coefficients[1::2])))
     return reports
+
+
+def partner_groups(roots: Sequence[complex], even: bool) -> list[list[complex]]:
+    """Roots as groups of symmetry partners sharing a modulus (within
+    MODULUS_TIE_TOL), groups in ascending modulus and the members of each
+    group in ascending principal argument.  A member within that tolerance
+    of an image of the group's nearest_exceptional_point pick z, which are
+    z-bar and, if even, -z and -z-bar, is replaced by it, so partners share
+    one modulus bit for bit."""
+    groups: list[list[complex]] = []
+    for z in sorted(roots, key=lambda z: (abs(z), cmath.phase(z))):
+        if groups and abs(abs(z) - abs(groups[-1][0])) <= MODULUS_TIE_TOL * max(
+            1.0, abs(groups[-1][0])
+        ):
+            groups[-1].append(z)
+        else:
+            groups.append([z])
+    for group in groups:
+        group.sort(key=cmath.phase)
+        z = nearest_exceptional_point([group])
+        images = (z, z.conjugate()) + ((-z, -z.conjugate()) if even else ())
+        for i, member in enumerate(group):
+            image = min(images, key=lambda w: abs(w - member))
+            if abs(image - member) <= MODULUS_TIE_TOL * max(1.0, abs(z)):
+                group[i] = image
+        group.sort(key=cmath.phase)
+    return groups
 
 
 def nearest_exceptional_point(groups: Sequence[list[complex]]) -> complex:
     """Minimum-modulus coupling, represented canonically.
 
-    groups is the output of exceptional_points, so groups[0] holds the
+    groups is partner_groups output, so groups[0] holds the
     symmetry partners of smallest modulus.  The representative is the first
     of them with principal argument in [0, pi), i.e. the upper-half-plane or
     positive-real member, or groups[0][0] if there is none.

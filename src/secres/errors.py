@@ -53,8 +53,10 @@ class DegreeTooSmall(ValidationError):
 class InvariantViolation(SecresError):
     """An internal numerical invariant does not hold for a model.
 
-    Raised for a non-finite coefficient and for a discriminant degree above
-    its bound: failures of the arithmetic, not of the input.
+    Raised for a non-finite coefficient or exact pencil, for a discriminant
+    degree above its bound and for an exact nearest exceptional point whose
+    eigenvalue gap fails its check: failures of the arithmetic, not of the
+    input.
     """
 
 

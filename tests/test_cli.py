@@ -15,6 +15,8 @@ from secres import (
     Polynomial,
     characteristic_polynomial,
     discriminant,
+    eigenvalue_gap,
+    exact_exceptional_points,
     exceptional_points,
     load_model,
     nearest_exceptional_point,
@@ -544,11 +546,14 @@ def test_ep_report_matches_library(capsys, zheng3):
     assert code == 0
     report = json.loads(out)
 
-    groups = exceptional_points([discriminant(characteristic_polynomial(zheng3))])[0]
+    groups = exact_exceptional_points(zheng3)
     nearest = nearest_exceptional_point(groups)
     assert float(report["exact"]["nearest_modulus"]) == abs(nearest)
     assert len(report["exact"]["points"]) == sum(len(g) for g in groups)
     assert report["exact"]["nearest"]["multiplicity"] == len(groups[0])
+    # with no discriminant, exact points carry no residual; the nearest has a gap
+    assert float(report["exact"]["nearest"]["gap"]) == eigenvalue_gap(zheng3, nearest)
+    assert not any("residual" in point for point in report["exact"]["points"])
 
     for entry in report["orders"]:
         k = entry["order"]
@@ -646,6 +651,70 @@ def test_block_model_exact_ep_is_the_coupled_pair_s_branch_point(tmp_path, capsy
     assert abs(complex(float(nearest["re"]), float(nearest["im"])) - 1j) <= 1e-14
     assert float(nearest["modulus"]) == pytest.approx(1.0, abs=1e-14)
     assert nearest["multiplicity"] == 2
+
+
+def exact_nearest(capsys, path):
+    """The exact nearest EP of `ep --exact` on a model file, and its record."""
+    code, out, err = run(capsys, "ep", "--exact", "--model", str(path))
+    assert (code, err) == (0, "")
+    nearest = json.loads(out)["exact"]["nearest"]
+    return complex(float(nearest["re"]), float(nearest["im"])), nearest
+
+
+@pytest.mark.parametrize("dim, modulus, rel", [
+    # the verified true nearest moduli: D=7 and D=9 from a 30-digit sampled
+    # discriminant, good to ~2e-9 at D=9; D=10 from a 40-digit Newton solve
+    (7, 0.0772951185, 1e-9),
+    (9, 0.0377509534, 1e-8),
+    (10, 0.051163051563, 1e-11),
+    # a regression value only: no independent nearest-EP check reaches D=12
+    (12, 0.043503660473, 1e-11),
+])
+def test_exact_nearest_ep_of_seeded_models(tmp_path, capsys, dim, modulus, rel):
+    z, nearest = exact_nearest(capsys, seeded_model_path(tmp_path, dim, (1, 2)))
+    assert abs(z) == pytest.approx(modulus, rel=rel)
+    assert float(nearest["gap"]) <= 1e-7
+
+
+def write_model(tmp_path, h0, interaction):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dimension": len(h0), "h0_diagonal": h0,
+                                "interaction": interaction, "p_space": [1, 2]}))
+    return path
+
+
+def test_exact_nearest_ep_invariant_under_power_of_two_units(tmp_path, capsys):
+    data = json.loads(Path(MODEL).read_text())
+    want, _ = exact_nearest(capsys, MODEL)
+    for a in (2.0 ** 20, 2.0 ** -20, 2.0 ** 60, 2.0 ** -60):
+        path = write_model(tmp_path, [a * e for e in data["h0_diagonal"]],
+                           [[i, j, a * v] for i, j, v in data["interaction"]])
+        got, _ = exact_nearest(capsys, path)
+        assert abs(got - want) <= 1e-14 * abs(want), a
+
+
+def test_exact_nearest_ep_invariant_under_integer_shifts(tmp_path, capsys):
+    # with dyadic h0 every shifted difference h_i - h_j is exact
+    h0, interaction = random_model_data(np.random.default_rng(105), 5)
+    h0 = [round(e * 64) / 64 for e in h0]
+    interaction = [list(entry) for entry in interaction]
+    want, _ = exact_nearest(capsys, write_model(tmp_path, h0, interaction))
+    for b in (1.0, -7.0, 100.0, 1000.0):
+        got, _ = exact_nearest(capsys, write_model(tmp_path, [e + b for e in h0], interaction))
+        assert abs(got - want) <= 1e-14 * abs(want), b
+
+
+@pytest.mark.parametrize("argv", [("ep", "--exact"), ("table1",)])
+def test_exact_nearest_ep_off_the_ep_exits_3(capsys, monkeypatch, argv):
+    # a point 1% off the nearest EP leaves two eigenvalues of H apart by a
+    # gap far above GAP_BOUND (~1e-8 at the true point), so the guard trips
+    true = exact_exceptional_points(load_model(MODEL))
+    wrong = [[1.01 * z for z in group] for group in true]
+    monkeypatch.setattr(cli, "exact_exceptional_points", lambda model: wrong)
+    code, out, err = run(capsys, *argv, "--model", MODEL)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: InvariantViolation: exact exceptional point ")
+    assert "fails its check: eigenvalue gap" in err and err.endswith(" > 0.001\n")
 
 
 def test_ep_floats_are_round_trip_strings(capsys):
@@ -966,10 +1035,7 @@ OVERFLOW_DISC = {
 
 @pytest.mark.parametrize("data, argv, value", [
     (OVERFLOW_D4, ("charpoly",), "nan"),
-    (OVERFLOW_D4, ("ep", "--exact"), "nan"),
-    (OVERFLOW_D4, ("table1",), "nan"),
     (OVERFLOW_D2, ("charpoly",), "-inf"),
-    (OVERFLOW_DISC, ("ep", "--exact"), "nan"),
 ])
 def test_non_finite_exact_coefficients_exit_3(tmp_path, capsys, data, argv, value):
     path = tmp_path / "model.json"
@@ -977,6 +1043,30 @@ def test_non_finite_exact_coefficients_exit_3(tmp_path, capsys, data, argv, valu
     code, out, err = run(capsys, *argv, "--model", str(path))
     assert (code, out) == (3, "")
     assert err == f"error: InvariantViolation: non-finite coefficient {value}\n"
+
+
+@pytest.mark.parametrize("data, unit", [(OVERFLOW_D4, 1e150), (OVERFLOW_DISC, 1e80)])
+@pytest.mark.parametrize("command", ["ep", "table1"])
+def test_exact_eps_of_overflowing_charpolys_are_the_unscaled_model_s(
+        tmp_path, capsys, data, unit, command):
+    # the charpoly of these models overflows, the exact pencil, built from
+    # differences of h0 and from V, does not: the nearest EP is that of the
+    # model in units of `unit`
+    scaled, plain = tmp_path / "scaled.json", tmp_path / "plain.json"
+    scaled.write_text(json.dumps(data))
+    plain.write_text(json.dumps({
+        **data, "h0_diagonal": [e / unit for e in data["h0_diagonal"]],
+        "interaction": [[i, j, value / unit] for i, j, value in data["interaction"]]}))
+    moduli = []
+    for path in (scaled, plain):
+        if command == "ep":
+            code, out, err = run(capsys, "ep", "--exact", "--model", str(path))
+            moduli.append(float(json.loads(out)["exact"]["nearest_modulus"]))
+        else:
+            code, out, err = run(capsys, "table1", "--model", str(path))
+            moduli.append(float(out.split()[-1]))
+        assert (code, err) == (0, "")
+    assert moduli[0] == pytest.approx(moduli[1], rel=1e-14)
 
 
 def test_sweep_exact_cells_need_no_charpoly(tmp_path, capsys):

@@ -107,8 +107,9 @@ def test_exact_discriminant_matches_cubic_formula(zheng3):
 @pytest.mark.parametrize("dim", [
     2, 3, 4, 5,
     pytest.param(6, marks=pytest.mark.xfail(strict=True, reason=(
-        "double-precision determinant: the lambda^0 coefficient loses about "
-        "7 digits to cancellation (relative error 3.7e-10 at lambda=0.3+0.2i)"
+        "the Bezout determinant of the float charpoly, which no EP command "
+        "uses since exact EPs come from the pencil: its lambda^0 coefficient "
+        "loses about 7 digits to cancellation (3.7e-10 at lambda=0.3+0.2i)"
     ))),
 ])
 def test_exact_discriminant_matches_eigenvalue_gaps(dim):
@@ -258,8 +259,10 @@ def test_discriminant_degree_cap(monkeypatch, capsys, zheng3, excess):
     message = f"discriminant degree {degree} exceeds cap {cap}"
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
         discriminant(cp)
-    assert main(["ep", "--model", str(ZHENG3_PATH), "--exact"]) == 3
-    assert capsys.readouterr() == ("", f"error: InvariantViolation: {message}\n")
+    # the exact route has no discriminant; an order's, of cap 2 * 1 * 2, fails
+    assert main(["ep", "--model", str(ZHENG3_PATH), "--orders", "2", "--exact"]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: InvariantViolation: discriminant degree {degree} exceeds cap 4\n")
 
 
 def test_exact_discriminant_is_even(zheng3):

@@ -13,10 +13,10 @@ import pytest
 from secres import (
     MatrixModel,
     SecresError,
-    characteristic_polynomial,
     discriminant,
     eigenvalues_at,
     exact_eigenvalues_at,
+    exact_exceptional_points,
     exceptional_points,
     load_model,
     nearest_exceptional_point,
@@ -75,19 +75,19 @@ def test_sweep_cells_invariant_under_relabeling(name, solve):
         assert (np.abs(got[kept] - want[kept]).max(axis=1) <= bound).all()
 
 
-def nearest_or_fault(disc):
-    """The nearest exceptional point of disc, or the type of the error that
-    locating it raised."""
+def nearest_or_fault(solve):
+    """The nearest exceptional point that solve() locates, or the type of
+    the error it raised."""
     try:
-        return nearest_exceptional_point(exceptional_points([disc])[0])
+        return nearest_exceptional_point(solve())
     except SecresError as exc:
         return type(exc)
 
 
-def assert_same_nearest_ep(discs):
-    """Every discriminant has the same nearest exceptional point to 1e-13
+def assert_same_nearest_ep(solves):
+    """Every solve has the same nearest exceptional point to 1e-13
     relative, or each of them fails with the same exception type."""
-    want, *others = map(nearest_or_fault, discs)
+    want, *others = map(nearest_or_fault, solves)
     for got in others:
         if isinstance(want, type) or isinstance(got, type):
             assert got is want
@@ -98,17 +98,13 @@ def assert_same_nearest_ep(discs):
 @pytest.mark.parametrize("order", [6, 20])
 @pytest.mark.parametrize("name", MODELS)
 def test_order_k_nearest_ep_invariant_under_relabeling(name, order):
-    assert_same_nearest_ep(discriminant(reconstruct(p_space_series(model, order)))
-                           for model in labelings(name))
+    assert_same_nearest_ep(
+        lambda disc=discriminant(reconstruct(p_space_series(model, order))):
+        exceptional_points([disc])[0]
+        for model in labelings(name))
 
 
-@pytest.mark.parametrize("name", [
-    "zheng3", 4, 5,
-    pytest.param(6, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 10: the double-precision Bezout determinant cancels, "
-        "so the exact nearest EP moves by ~6e-7 relative between labelings"
-    ))),
-])
+@pytest.mark.parametrize("name", ["zheng3", 4, 5, 6, 9, 12])
 def test_exact_nearest_ep_invariant_under_relabeling(name):
-    assert_same_nearest_ep(discriminant(characteristic_polynomial(model))
+    assert_same_nearest_ep(lambda model=model: exact_exceptional_points(model)
                            for model in labelings(name))

@@ -12,9 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from secres import (
-    characteristic_polynomial, cli, discriminant, p_space_series, reconstruct,
-)
+from secres import cli, discriminant, p_space_series, reconstruct
 
 from conftest import ZHENG3_PATH
 
@@ -41,29 +39,29 @@ def test_every_layer_binding_resolves():
         assert callable(fn), f"{module}.{attr}"
 
 
-def test_ep_exact_run_records_each_layer(tmp_path):
+@pytest.mark.parametrize("argv, layers", [
+    (("ep", "--model", str(ZHENG3_PATH), "--orders", "6", "--exact"),
+     ("discriminant.discriminant", "discriminant.exceptional_points", "roots.all_roots")),
+    (("charpoly", "--model", str(ZHENG3_PATH)), ("charpoly.characteristic_polynomial",)),
+], ids=["ep-exact", "charpoly"])
+def test_run_records_each_layer(tmp_path, argv, layers):
+    """The exact EPs come from a pencil, with no characteristic polynomial:
+    the charpoly layer is recorded by the command that prints it."""
     tracer = load_tracer()
     before = bindings(tracer)
     recorder = tracer.Tracer()
     recorder.install()
     try:
-        code = cli.main([
-            "ep", "--model", str(ZHENG3_PATH), "--orders", "6", "--exact",
-            "--out", str(tmp_path / "ep.json"),
-        ])
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
     finally:
         recorder.remove()
     assert code == 0
     assert bindings(tracer) == before
     totals = recorder.layer_totals()
-    for layer in (
-        "cli.main",
-        "charpoly.characteristic_polynomial",
-        "discriminant.discriminant",
-        "discriminant.exceptional_points",
-        "roots.all_roots",
-    ):
+    for layer in ("cli.main", *layers):
         assert totals[layer]["calls"] >= 1, layer
+    if argv[0] == "ep":
+        assert totals["charpoly.characteristic_polynomial"]["calls"] == 0
 
 
 def test_sweep_run_records_one_root_solve_per_column(tmp_path):
@@ -144,13 +142,14 @@ def test_each_command_loads_its_model_once(tmp_path, argv):
     assert recorder.layer_totals()["model.load_model"]["calls"] == 1
 
 
-@pytest.mark.parametrize("argv, orders, exact", [
-    (("table1",), (2, 4, 6, 8, 10), True),
-    (("ep", "--model", str(ZHENG3_PATH), "--orders", "6", "--exact"), (6,), True),
+@pytest.mark.parametrize("argv, orders", [
+    (("table1",), (2, 4, 6, 8, 10)),
+    (("ep", "--model", str(ZHENG3_PATH), "--orders", "6", "--exact"), (6,)),
 ], ids=["table1", "ep-exact"])
-def test_each_ep_command_records_one_root_solve(tmp_path, zheng3, argv, orders, exact):
-    """All the discriminants of a command go to one all_roots call, whose
-    degree, as the tracer reads it, is the largest of theirs."""
+def test_each_ep_command_records_one_root_solve(tmp_path, zheng3, argv, orders):
+    """All the order-K discriminants of a command go to one all_roots call,
+    whose degree, as the tracer reads it, is the largest of theirs; the
+    exact EPs take no charpoly, discriminant or root solve."""
     tracer = load_tracer()
     calls = []
     observe = tracer._OBSERVERS["roots.all_roots"]
@@ -170,8 +169,9 @@ def test_each_ep_command_records_one_root_solve(tmp_path, zheng3, argv, orders, 
     totals = recorder.layer_totals()
     assert totals["roots.all_roots"]["calls"] == 1
     assert totals["discriminant.exceptional_points"]["calls"] == 1
+    assert totals["discriminant.discriminant"]["calls"] == len(orders)
+    assert totals["charpoly.characteristic_polynomial"]["calls"] == 0
     polys = [reconstruct(p_space_series(zheng3, k)) for k in orders]
-    polys += [characteristic_polynomial(zheng3)] if exact else []
     ((degree, max_residual, converged),) = calls
     assert degree == max(discriminant(poly).degree for poly in polys)
     assert type(max_residual) is float
