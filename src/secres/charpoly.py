@@ -108,8 +108,7 @@ def exact_exceptional_points(model: MatrixModel) -> list[list[complex]]:
     if not mu.size:
         raise DegreeTooSmall("no exceptional point exists: a discriminant of "
                              "lambda degree 0 has no root")
-    # only a true partner lies within MODULUS_TIE_TOL of -z or -z-bar
-    return partner_groups((1.0 / mu).tolist(), True)
+    return partner_groups((1.0 / mu).tolist())
 
 
 def eigenvalue_gap(model: MatrixModel, lam: complex) -> float:

@@ -37,8 +37,9 @@ from .errors import (
 from .roots import all_roots
 from .series import MonicPolynomial, Polynomial, products
 
-# relative tolerance for grouping symmetry partners (+-lambda, conjugates)
-MODULUS_TIE_TOL = 1e-12
+# partner tolerance (+-lambda, conjugates), relative at every modulus: order-K
+# partners of seeded models lie up to 6.8e-12 apart; 1e-12 split some 3e-13 apart
+MODULUS_TIE_TOL = 1e-11
 
 
 def _bezout(p: list[Polynomial]) -> np.ndarray:
@@ -117,8 +118,7 @@ def exceptional_points(discs: Sequence[Polynomial]) -> list[list[list[complex]]]
     One all_roots call, whose final Newton steps are the only refinement,
     solves them all; the first, in order, that is constant or did not
     converge raises DegreeTooSmall or RootFindingFailure.  The roots of
-    each come back as partner_groups: the coefficients are real, so z-bar
-    is an image, and -z and -z-bar are too when every odd coefficient is 0.
+    each come back as partner_groups.
     """
     solved = [disc.coefficients for disc in discs if disc.degree >= 1]
     if solved:
@@ -136,32 +136,30 @@ def exceptional_points(discs: Sequence[Polynomial]) -> list[list[list[complex]]]
             raise RootFindingFailure(failed_solve(
                 "discriminant root iteration", "", result.column_residual[m].item()))
         roots = result.roots[:np.flatnonzero(disc.coefficients)[-1], m].tolist()
-        reports.append(partner_groups(roots, not any(disc.coefficients[1::2])))
+        reports.append(partner_groups(roots))
     return reports
 
 
-def partner_groups(roots: Sequence[complex], even: bool) -> list[list[complex]]:
-    """Roots as groups of symmetry partners sharing a modulus (within
-    MODULUS_TIE_TOL), groups in ascending modulus and the members of each
-    group in ascending principal argument.  A member within that tolerance
-    of an image of the group's nearest_exceptional_point pick z, which are
-    z-bar and, if even, -z and -z-bar, is replaced by it, so partners share
-    one modulus bit for bit."""
+def partner_groups(roots: Sequence[complex]) -> list[list[complex]]:
+    """Roots as groups of symmetry partners sharing a modulus within
+    MODULUS_TIE_TOL times it, in ascending modulus, members in ascending
+    principal argument.  A member within MODULUS_TIE_TOL * |z| of an image
+    z-bar, -z or -z-bar of the group's nearest_exceptional_point pick z
+    becomes that image, so partners share one modulus bit for bit.  Both EP
+    routes use this rule: only a true partner lies that close to an image."""
     groups: list[list[complex]] = []
     for z in sorted(roots, key=lambda z: (abs(z), cmath.phase(z))):
-        if groups and abs(abs(z) - abs(groups[-1][0])) <= MODULUS_TIE_TOL * max(
-            1.0, abs(groups[-1][0])
-        ):
+        if groups and abs(abs(z) - abs(groups[-1][0])) <= MODULUS_TIE_TOL * abs(groups[-1][0]):
             groups[-1].append(z)
         else:
             groups.append([z])
     for group in groups:
         group.sort(key=cmath.phase)
         z = nearest_exceptional_point([group])
-        images = (z, z.conjugate()) + ((-z, -z.conjugate()) if even else ())
+        images = (z, z.conjugate(), -z, -z.conjugate())
         for i, member in enumerate(group):
             image = min(images, key=lambda w: abs(w - member))
-            if abs(image - member) <= MODULUS_TIE_TOL * max(1.0, abs(z)):
+            if abs(image - member) <= MODULUS_TIE_TOL * abs(z):
                 group[i] = image
         group.sort(key=cmath.phase)
     return groups

@@ -5,12 +5,13 @@ Usage, from any directory:
     python3 tests/cli_digest.py > digest.txt
 
 It writes the seeded models of every benchmark workload (``perfbench``'s
-``write_models``, seeds 1-3) to a temporary directory and runs the bundled
-zheng3 fixture and each of those models through ``secres.cli.main`` of this
-checkout, in one process.  Each command prints one line: a label without
-paths, the exit code, and the sha256 of its stdout and of its stderr.  Two
-checkouts whose outputs are byte-identical print identical files, so a diff
-of two runs lists every command whose output changed.
+``write_models``, seeds 1-3) and zheng3 with its couplings times 2^40 to a
+temporary directory and runs the bundled zheng3 fixture and each of those
+models through ``secres.cli.main`` of this checkout, in one process.  Each
+command prints one line: a label without paths, the exit code, and the
+sha256 of its stdout and of its stderr.  Two checkouts whose outputs are
+byte-identical print identical files, so a diff of two runs lists every
+command whose output changed.
 ``tests/golden/cli_digest.txt`` holds the digest of the committed code, and
 CI diffs a fresh run against it.  The file name keeps
 pytest from collecting it; a run takes about 20 s.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -58,6 +60,13 @@ ZHENG3_ONLY = (
     ("sweep", "--orders", "4,4"),
     ("sweep", "--orders", "2,x"),
 )
+# zheng3 with every coupling times 2^40, which scales every EP by 2^-40
+# exactly: its EPs print far below 1 and must keep their partner groups
+COUPLING_SCALE = 2.0 ** 40
+SCALED_ONLY = (
+    ("ep", "--orders", "6,10", "--exact"),
+    ("table1",),
+)
 
 
 def digest(argv: list[str]) -> tuple[int, str, str]:
@@ -72,6 +81,11 @@ def digest(argv: list[str]) -> tuple[int, str, str]:
 def main_digest() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         models = [("zheng3", bundled_model_path(), PER_MODEL + ZHENG3_ONLY)]
+        data = json.loads(bundled_model_path().read_text())
+        data["interaction"] = [[i, j, COUPLING_SCALE * v] for i, j, v in data["interaction"]]
+        scaled = Path(tmp) / "zheng3-coupling2^40.json"
+        scaled.write_text(json.dumps(data))
+        models.append((scaled.stem, scaled, SCALED_ONLY))
         for workload in workloads.WORKLOADS:
             for seed in SEEDS:
                 directory = Path(tmp) / f"{workload}-s{seed}"

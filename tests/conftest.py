@@ -22,8 +22,9 @@ def roots_at(solve, source, lam):
     return roots[0].tolist()
 
 
-def benchmark_models():
-    """The seeded models of every benchmark workload, seeds 1-3."""
+def benchmark_models(*names):
+    """The seeded models of the named benchmark workloads (every one if
+    none is named), seeds 1-3."""
     path = TESTS_DIR.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -31,7 +32,7 @@ def benchmark_models():
     sys.modules[spec.name] = workloads
     spec.loader.exec_module(workloads)
     return [MatrixModel.from_dict(data)
-            for workload in workloads.WORKLOADS for seed in (1, 2, 3)
+            for workload in names or workloads.WORKLOADS for seed in (1, 2, 3)
             for data in workloads.seeded_models(workload, seed)]
 
 

@@ -693,6 +693,31 @@ def test_exact_nearest_ep_invariant_under_power_of_two_units(tmp_path, capsys):
         assert abs(got - want) <= 1e-14 * abs(want), a
 
 
+def test_coupling_units_scale_ep_and_table1_bit_for_bit(tmp_path, capsys):
+    # V -> 2^40 V scales every EP by 2^-40 exactly, so the nearest exact EP
+    # keeps its conjugate as its only partner far below |lambda| = 1
+    scale = 2.0 ** 40
+    data = json.loads(Path(MODEL).read_text())
+    data["interaction"] = [[i, j, scale * v] for i, j, v in data["interaction"]]
+    path = tmp_path / "coupling.json"
+    path.write_text(json.dumps(data))
+    reports = []
+    for model, unit in ((MODEL, 1.0), (str(path), scale)):
+        code, out, err = run(capsys, "ep", "--orders", "6", "--exact", "--model", model)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        exact, [order] = report["exact"], report["orders"]
+        reports.append((
+            [(unit * float(p["re"]), unit * float(p["im"])) for p in exact["points"]],
+            [unit * float(p["modulus"]) for p in order["points"]],
+            [(unit * float(r["modulus"]), r["multiplicity"])
+             for r in (exact["nearest"], order["nearest"])],
+            {label: unit * value for label, value in table1_values(capsys, "--model", model).items()},
+        ))
+    assert reports[1] == reports[0]
+    assert [multiplicity for _, multiplicity in reports[0][2]] == [2, 2]
+
+
 def test_exact_nearest_ep_invariant_under_integer_shifts(tmp_path, capsys):
     # with dyadic h0 every shifted difference h_i - h_j is exact
     h0, interaction = random_model_data(np.random.default_rng(105), 5)

@@ -17,6 +17,7 @@ from secres import (
     characteristic_polynomial,
     discriminant,
     eigenvalues_at,
+    exact_exceptional_points,
     exceptional_points,
     load_model,
     nearest_exceptional_point,
@@ -24,6 +25,7 @@ from secres import (
     reconstruct,
 )
 from secres.cli import main
+from secres.discriminant import partner_groups
 
 from conftest import ZHENG3_PATH, benchmark_models, roots_at
 from oracles import (
@@ -444,6 +446,41 @@ def test_nearest_single_element():
 def test_nearest_empty_raises():
     with pytest.raises(ValueError, match="no exceptional points to choose from"):
         nearest_exceptional_point([])
+
+
+def test_partners_of_tiny_eps_are_grouped_relative_to_their_modulus(zheng3):
+    # V -> 2^40 V scales zheng3's six EPs by 2^-40: the pair and the quartet
+    # lie 1e-12 of a unit apart, 10 times their own moduli, yet stay apart
+    scale = 2.0 ** 40
+    model = MatrixModel(zheng3.dimension, zheng3.h0_diagonal,
+                        tuple((i, j, scale * v) for i, j, v in zheng3.interaction),
+                        zheng3.p_space)
+    groups = partner_groups(flat(exact_exceptional_points(model)))
+    assert [len(group) for group in groups] == [2, 4]
+    assert abs(nearest_exceptional_point(groups)) * scale == pytest.approx(
+        EXACT_EP1_MODULUS, abs=1e-9)
+
+
+def test_moduli_apart_beyond_the_tolerance_stay_in_separate_groups():
+    # a conjugate 2e-11 of its modulus off, at a modulus far below 1
+    z = 1e-3 * (0.6 + 0.8j)
+    w = z.conjugate() * (1.0 + 2e-11)
+    assert partner_groups([w, z]) == [[z], [w]]
+
+
+def test_partners_are_snapped_without_a_parity_test():
+    # -z and -z-bar 5e-12 of the modulus off: the odd coefficients are not
+    # 0, yet all four are images of one point and share its modulus
+    z = 0.3 + 0.4j
+    roots = [z, z.conjugate(), -(1.0 + 5e-12) * z, -(1.0 + 5e-12) * z.conjugate()]
+    disc = Polynomial(tuple(np.poly(roots)[::-1].real.tolist()))
+    assert any(disc.coefficients[1::2])
+    [group] = exceptional_points([disc])[0]
+    pick = nearest_exceptional_point([group])
+    assert sorted(group, key=cmath.phase) == sorted(
+        [pick, pick.conjugate(), -pick, -pick.conjugate()], key=cmath.phase)
+    assert len({abs(w) for w in group}) == 1
+    assert abs(abs(pick) - 0.5) <= 1e-11
 
 
 def test_double_root_at_origin():
